@@ -730,10 +730,10 @@ let e11 ~quick =
            set; only the successor engine changes";
           "interp = AST re-interpreted per transition (the seed engine); \
            compiled = staged closures, per-pid quantifier unrolling, \
-           Vec-emitted moves, cached state hashes";
+           scratch-built successors, bit-packed state store";
           "pool rows run level-parallel BFS on long-lived domains (spawned \
-           once per run, not per wave); on a single-core host they only \
-           add coordination cost";
+           once per run, not per wave); on a 2-core host they are still \
+           slower than the compiled sequential engine";
           "speedup is distinct-states/sec relative to the interp row of \
            the same configuration";
           "each engine row reports the fastest of 3 runs (1 in quick \

@@ -44,11 +44,23 @@ let dropped t =
     (fun acc c -> acc + max 0 (c - t.capacity))
     0 t.count
 
+(* Order of records with equal stamps: a [Released] first, because the
+   releasing store precedes the [Acquired] it enables even when the
+   clock cannot tell them apart; an [Acquired] last. *)
+let tie_rank = function Released -> 0 | Acquire_start -> 1 | Acquired -> 2
+
+(* A k-way merge of the per-pid rings.  Each ring is in program order
+   and its stamps never decrease, so the merge keeps every pid's
+   records in program order, which a sort over all records with a pid
+   tie-break does not.  Two [Acquired] with one stamp are ordered by
+   the stamps of the [Released] that follow them: under mutual
+   exclusion the first holder released before the second acquired, so
+   at that same stamp, while the second releases no earlier. *)
 let flush t =
-  let per_pid pid =
+  let ring pid =
     let n = min t.count.(pid) t.capacity in
     let first = t.count.(pid) - n in
-    List.init n (fun k ->
+    Array.init n (fun k ->
         let i = (first + k) mod t.capacity in
         {
           e_t_ns = t.ts.(pid).(i);
@@ -56,14 +68,35 @@ let flush t =
           e_op = op_of_code t.ops.(pid).(i);
         })
   in
-  let all = List.concat (List.init t.nprocs per_pid) in
-  (* Stable sort on timestamps: records of one pid stay in program
-     order even when the monotonic clock ties. *)
-  List.stable_sort
-    (fun a b ->
-      if a.e_t_ns <> b.e_t_ns then compare a.e_t_ns b.e_t_ns
-      else compare a.e_pid b.e_pid)
-    all
+  let rings = Array.init t.nprocs ring in
+  let next = Array.make t.nprocs 0 in
+  let head pid = rings.(pid).(next.(pid)) in
+  let after_head pid =
+    let k = next.(pid) + 1 in
+    if k < Array.length rings.(pid) then rings.(pid).(k).e_t_ns else max_int
+  in
+  let before p q =
+    let a = head p and b = head q in
+    if a.e_t_ns <> b.e_t_ns then a.e_t_ns < b.e_t_ns
+    else if a.e_op <> b.e_op then tie_rank a.e_op < tie_rank b.e_op
+    else if a.e_op = Acquired && after_head p <> after_head q then
+      after_head p < after_head q
+    else p < q
+  in
+  let total = Array.fold_left (fun acc r -> acc + Array.length r) 0 rings in
+  let merged = ref [] in
+  for _ = 1 to total do
+    let best = ref (-1) in
+    for pid = 0 to t.nprocs - 1 do
+      if
+        next.(pid) < Array.length rings.(pid)
+        && (!best < 0 || before pid !best)
+      then best := pid
+    done;
+    merged := head !best :: !merged;
+    next.(!best) <- next.(!best) + 1
+  done;
+  List.rev !merged
 
 (* Wrap an instance so every acquire/release leaves ring records.
    [Released] is stamped *before* the release call: the successor's

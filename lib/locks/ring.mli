@@ -4,7 +4,7 @@
     preallocated int ring — two array stores and an increment per
     record, no allocation, no synchronisation with other domains — so
     tracing does not serialise the contention it is observing.  After
-    the run the rings are merged into one time-sorted log; lib/trace
+    the run the rings are merged into one time-ordered log; lib/trace
     turns that log into a causal trace with one track per domain. *)
 
 type op =
@@ -30,8 +30,11 @@ val wrap : t -> Lock_intf.instance -> Lock_intf.instance
     released < acquired on the monotonic clock). *)
 
 val flush : t -> entry list
-(** Merge all rings, oldest first (stable on timestamp ties).  Entries
-    lost to ring overflow are gone; see {!dropped}. *)
+(** Merge all rings, oldest first.  Each pid's records keep their
+    program order.  On equal stamps a [Released] comes first and an
+    [Acquired] last; of two [Acquired], the one whose [Released]
+    follows sooner; otherwise the lower pid.  Entries lost to ring
+    overflow are gone; see {!dropped}. *)
 
 val dropped : t -> int
 (** Total records overwritten by ring overflow across all pids. *)

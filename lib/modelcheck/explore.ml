@@ -4,14 +4,20 @@
 
    - the default path ([interpreted = false]) runs the compiled actions
      fused with dedup: each candidate successor is built in one reusable
-     scratch buffer, probed against the allocation-free arena-backed
-     {!Store}, and blitted into the arena only if genuinely new.  Most
-     generated states of a big search are duplicates, so the steady
-     state allocates nothing at all;
+     scratch buffer, probed against the bit-packed {!Store}, and packed
+     into its arena only if genuinely new.  The frontier is a cursor
+     over store ids, and each state's parent and move share one word of
+     {!Chunked} metadata.  Per expanded state nothing is allocated on
+     the OCaml heap: the successor callback, the staged invariants and
+     the cursor are set up once per run, and the store and metadata grow
+     by whole chunks.  The test "Explore.run allocates < 1 word per
+     state" in test/test_modelcheck.ml pins this (about 0.06 minor
+     words per distinct state on bakery_pp N=3/M=2, all of it per-run
+     and per-chunk set-up);
    - [interpreted = true] is the seed engine, kept verbatim as the
      measured baseline and differential reference: list-of-moves
      successors from the AST interpreter, one boxed array per generated
-     state, a generic [Hashtbl] keyed on packed arrays, a [Queue.t]
+     state, a generic [Hashtbl] keyed on packed arrays, a {!Wave}
      frontier. *)
 
 module Tbl = Hashtbl.Make (struct
@@ -118,9 +124,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
   in
   let canon = Reduce.canonizer red in
   let t0 = now () in
-  let parent = Vec.create () in
-  let via_pid = Vec.create () in
-  let via_pc = Vec.create () in
   let generated = ref 0 in
   let max_depth = ref 0 in
   let finish ~distinct outcome =
@@ -148,26 +151,48 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
   let expand s =
     match constraint_ with None -> true | Some c -> c sys s
   in
-  let push_meta ~parent:par ~pid ~pc =
-    ignore (Vec.push parent par);
-    ignore (Vec.push via_pid pid);
-    ignore (Vec.push via_pc pc)
-  in
   let exception Stop of result in
-  (* The compiled engine: dedup-before-copy BFS on the arena store,
-     frontier as a cursor over an int vector. *)
+  (* The compiled engine: dedup-before-copy BFS on the packed store,
+     frontier as a cursor over store ids. *)
   let run_compiled () =
     let idx = Store.create () in
-    let finish outcome = finish ~distinct:(Store.length idx) outcome in
+    let steps = (System.program sys).Mxlang.Ast.steps in
+    if not (Via.fits ~nprocs:(System.nprocs sys) ~nsteps:(Array.length steps))
+    then invalid_arg "Explore.run: too many processes or steps to record moves";
+    (* Per state, one unscanned word: the parent id above the move that
+       produced the state (pid and pc, {!Via.pack}).  The root, always
+       id 0, has none. *)
+    let meta = Chunked.create () in
+    let store_bytes () = Store.arena_bytes idx + Chunked.bytes meta in
+    let finish outcome =
+      (match metrics with
+      | None -> ()
+      | Some m ->
+          Telemetry.Metrics.set
+            (Telemetry.Metrics.gauge m "explore.store_bytes")
+            (float_of_int (store_bytes ())));
+      finish ~distinct:(Store.length idx) outcome
+    in
     let trace id =
-      Reduce.decanonicalize red
-        (trace_of sys ~state_of:(Store.get idx) ~parent ~via_pid ~via_pc id)
+      let rec walk id acc =
+        let state = Store.get idx id in
+        if id = 0 then { Trace.pid = -1; step_name = "<init>"; state } :: acc
+        else
+          let m = Chunked.get meta id in
+          let pid = Via.pid m and pc = Via.pc m in
+          walk (m lsr Via.move_bits)
+            ({ Trace.pid; step_name = steps.(pc).step_name; state } :: acc)
+      in
+      Reduce.decanonicalize red (walk id [])
     in
     let lay = System.layout sys in
     let scratch = Array.make lay.State.words 0 in
     let current = Array.make lay.State.words 0 in
-    let wave = Wave.create () in
-    (* One tick per dequeued state; a disabled reporter costs one call
+    (* The frontier is a cursor over store ids: ids are assigned in
+       discovery order, which is BFS order, so the states of one wave
+       are the ids between two boundaries. *)
+    let cursor = ref 0 in
+    (* One tick per expanded state; a disabled reporter costs one call
        to a static no-op closure, nothing else (E11 must not move). *)
     let tick =
       match progress with
@@ -181,7 +206,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
               ( "distinct",
                 Telemetry.Json.Num (float_of_int (Store.length idx)) );
               ( "queue",
-                Telemetry.Json.Num (float_of_int (Wave.pending wave)) );
+                Telemetry.Json.Num
+                  (float_of_int (Store.length idx - !cursor)) );
               ( "kstates_s",
                 Telemetry.Json.Num
                   (if elapsed > 0.0 then
@@ -218,16 +244,18 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
             ( Telemetry.Metrics.gauge m "explore.frontier_depth",
               Telemetry.Metrics.gauge m "explore.live_generated",
               Telemetry.Metrics.gauge m "explore.live_distinct",
-              Telemetry.Metrics.gauge m "explore.live_kstates_s" )
+              Telemetry.Metrics.gauge m "explore.live_kstates_s",
+              Telemetry.Metrics.gauge m "explore.store_bytes" )
     in
     let on_wave ~depth ~frontier =
       max_depth := depth;
       (match live with
       | None -> ()
-      | Some (g_frontier, g_gen, g_dist, g_rate) ->
+      | Some (g_frontier, g_gen, g_dist, g_rate, g_bytes) ->
           Telemetry.Metrics.set g_frontier (float_of_int frontier);
           Telemetry.Metrics.set g_gen (float_of_int !generated);
           Telemetry.Metrics.set g_dist (float_of_int (Store.length idx));
+          Telemetry.Metrics.set g_bytes (float_of_int (store_bytes ()));
           let elapsed = now () -. t0 in
           Telemetry.Metrics.set g_rate
             (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
@@ -240,63 +268,92 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
           wave_t0 := t
     in
     (* Invariants are staged once per run (layouts and step kinds
-       resolved up front); they and the state constraint run on the
-       scratch buffer (identical contents to what was just stored). *)
+       resolved up front); they run on the scratch buffer (identical
+       contents to what was just stored). *)
+    let staged_names =
+      Array.of_list (List.map (fun inv -> inv.Invariant.name) invariants)
+    in
     let staged =
-      Array.of_list
-        (List.map (fun inv -> (inv.Invariant.name, Invariant.stage inv sys)) invariants)
+      Array.of_list (List.map (fun inv -> Invariant.stage inv sys) invariants)
     in
     let nstaged = Array.length staged in
-    let first_violated_staged buf =
-      let rec go k =
-        if k >= nstaged then None
-        else
-          let name, holds = Array.unsafe_get staged k in
-          if holds buf then go (k + 1) else Some name
-      in
-      go 0
-    in
     let vet id' buf =
       if Store.length idx > max_states then raise (Stop (finish Capacity));
-      match first_violated_staged buf with
-      | Some invariant ->
-          raise (Stop (finish (Violation { invariant; trace = trace id' })))
-      | None -> if expand buf then Wave.push wave id'
+      let k = ref 0 in
+      while !k < nstaged && (Array.unsafe_get staged !k) buf do
+        incr k
+      done;
+      if !k < nstaged then
+        raise
+          (Stop
+             (finish
+                (Violation { invariant = staged_names.(!k); trace = trace id' })))
     in
     let init = System.initial sys in
     canon init;
     incr generated;
     (match Store.add idx init with
     | Some id ->
-        push_meta ~parent:(-1) ~pid:(-1) ~pc:(-1);
+        Chunked.push meta 0;
         vet id init
     | None -> assert false);
-    (* BFS depth by wave boundary: ids enter the driver in depth order,
-       so no per-state depth needs storing. *)
-    Wave.drive ~on_wave wave (fun id ->
+    (* The successor callback is built once, not per expanded state: it
+       reads the state being expanded from [parent] and reports through
+       [any]. *)
+    let parent = ref 0 and any = ref false in
+    let on_successor ~pid ~from_pc ~alt:_ ~flick:_ =
+      any := true;
+      incr generated;
+      canon scratch;
+      if Store.probe idx scratch = -1 then begin
+        let id' = Store.add_probed idx scratch in
+        Chunked.push meta
+          ((!parent lsl Via.move_bits)
+          lor Via.pack ~pid ~pc:from_pc ~alt:0 ~flick:0);
+        vet id' scratch
+      end
+    in
+    (* BFS depth by wave boundary, as in {!Wave.drive}: the depth rises
+       when the cursor reaches the first state of a new wave that it
+       expands.  A state the constraint rejects is stored and checked
+       but skipped here, and a wave holding only such states is not a
+       wave of the search. *)
+    let boundary = ref (Store.length idx) and wave = ref 0 in
+    while !cursor < Store.length idx do
+      if !cursor = !boundary then begin
+        incr wave;
+        boundary := Store.length idx
+      end;
+      let id = !cursor in
+      cursor := id + 1;
+      Store.read_into idx id current;
+      if expand current then begin
+        if !wave > !max_depth then
+          on_wave ~depth:!wave ~frontier:(!boundary - id);
         tick ();
-        Store.read_into idx id current;
-        let only = Reduce.ample red current in
-        let any = ref false in
-        System.iter_successors_scratch ~only sys current ~scratch
-          (fun ~pid ~from_pc ~alt:_ ~flick:_ ->
-            any := true;
-            incr generated;
-            canon scratch;
-            if Store.probe idx scratch = -1 then begin
-              let id' = Store.add_probed idx scratch in
-              push_meta ~parent:id ~pid ~pc:from_pc;
-              vet id' scratch
-            end);
+        parent := id;
+        any := false;
+        System.iter_successors_only ~only:(Reduce.ample red current) sys
+          current ~scratch on_successor;
         (* An ample process is enabled by construction, so [only >= 0]
            never masks a deadlock. *)
         if check_deadlock && not !any then
-          raise (Stop (finish (Deadlock { trace = trace id }))));
+          raise (Stop (finish (Deadlock { trace = trace id })))
+      end
+    done;
     finish Pass
   in
   (* The seed engine, preserved as baseline: one hash to probe, a second
      to insert, a move list per state, a fresh array per candidate. *)
   let run_interpreted () =
+    let parent = Vec.create () in
+    let via_pid = Vec.create () in
+    let via_pc = Vec.create () in
+    let push_meta ~parent:par ~pid ~pc =
+      ignore (Vec.push parent par);
+      ignore (Vec.push via_pid pid);
+      ignore (Vec.push via_pc pc)
+    in
     let tbl = Tbl.create 4096 in
     let states = Vec.create () in
     let finish outcome = finish ~distinct:(Vec.length states) outcome in

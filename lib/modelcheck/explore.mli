@@ -69,9 +69,12 @@ val run :
     states generated/distinct, queue length, kstates/s, store load
     factor, arena bytes) plus one forced summary line when the search
     ends; [metrics] accumulates the final stats and a wave-duration
-    histogram into a registry ([explore.*]).  Both default to off, in
-    which case the hot loop runs exactly one static no-op closure call
-    per dequeued state — the search itself is unchanged either way. *)
+    histogram into a registry ([explore.*]), plus live gauges refreshed
+    once per wave — among them [explore.store_bytes], the bytes held by
+    the store's arena and index and the per-state parent/move words,
+    also set once at the end.  Both default to off, in which case the
+    hot loop runs exactly one static no-op closure call per expanded
+    state — the search itself is unchanged either way. *)
 
 val run_graph :
   ?constraint_:(System.t -> State.packed -> bool) ->

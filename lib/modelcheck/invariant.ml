@@ -39,16 +39,15 @@ let mutex =
               p.steps
           in
           let pcs_off = lay.State.pcs_off in
+          (* Loops, not a local [let rec]: a closure over [s] would be
+             allocated on every call. *)
           fun s ->
-            let rec count i acc =
-              if i >= n then acc
-              else
-                count (i + 1)
-                  (if Array.unsafe_get critical (Array.unsafe_get s (pcs_off + i))
-                   then acc + 1
-                   else acc)
-            in
-            count 0 0 <= 1);
+            let inside = ref 0 in
+            for i = 0 to n - 1 do
+              if Array.unsafe_get critical (Array.unsafe_get s (pcs_off + i))
+              then incr inside
+            done;
+            !inside <= 1);
     describe =
       Some
         (fun sys s ->
@@ -111,18 +110,21 @@ let no_overflow =
               ranges := (o, o + cells - 1) :: !ranges
             end
           done;
-          let ranges = Array.of_list !ranges in
+          let los = Array.of_list (List.map fst !ranges)
+          and his = Array.of_list (List.map snd !ranges) in
+          let nranges = Array.length los in
           fun s ->
-            let rec range_ok r =
-              r >= Array.length ranges
-              ||
-              let lo, hi = Array.unsafe_get ranges r in
-              let rec cell_ok i =
-                i > hi || (Array.unsafe_get s i <= m && cell_ok (i + 1))
-              in
-              cell_ok lo && range_ok (r + 1)
-            in
-            range_ok 0);
+            let ok = ref true and r = ref 0 in
+            while !ok && !r < nranges do
+              let i = ref (Array.unsafe_get los !r) in
+              let hi = Array.unsafe_get his !r in
+              while !ok && !i <= hi do
+                if Array.unsafe_get s !i > m then ok := false;
+                incr i
+              done;
+              incr r
+            done;
+            !ok);
     describe =
       Some
         (fun sys s ->

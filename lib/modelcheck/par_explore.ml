@@ -70,17 +70,6 @@ let fresh_batch words =
 
 type inbox = { i_mutex : Mutex.t; mutable i_batches : batch list }
 
-(* (pid, pc, alt, flick) packed into one int; pc and alt are tiny by
-   construction (mxlang programs have dozens of steps), pid fits 12
-   bits, and the flicker rank is capped at 2^26 by {!Regsem.Flicker} —
-   62 bits total. *)
-let pack_via ~pid ~pc ~alt ~flick =
-  (flick lsl 36) lor (pid lsl 24) lor (pc lsl 8) lor alt
-let via_pid v = (v lsr 24) land 0xfff
-let via_pc v = (v lsr 8) land 0xffff
-let via_alt v = v land 0xff
-let via_flick v = v lsr 36
-
 (* Per-domain mutable state.  Written only by its domain during a wave;
    read by the main domain after the pool barrier. *)
 type dstate = {
@@ -195,8 +184,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     let rest =
       List.map
         (fun via ->
-          let pid = via_pid via and pc = via_pc via and alt = via_alt via in
-          s := System.apply_move sys !s ~pid ~pc ~alt ~flick:(via_flick via);
+          let pid = Via.pid via and pc = Via.pc via and alt = Via.alt via in
+          s := System.apply_move sys !s ~pid ~pc ~alt ~flick:(Via.flick via);
           if sym_on then s := fst (Reduce.canon red !s);
           { Trace.pid; step_name = p.steps.(pc).step_name; state = !s })
         (chain gid [])
@@ -323,7 +312,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         d.d_canon d.d_scratch;
         let fp = Shard_table.fingerprint tbl d.d_scratch in
         let o = Shard_table.owner tbl fp in
-        let via = pack_via ~pid ~pc:from_pc ~alt ~flick in
+        let via = Via.pack ~pid ~pc:from_pc ~alt ~flick in
         if o = w then insert_candidate w d ~fp ~parent:gid ~via d.d_scratch
         else route d o ~fp ~parent:gid ~via d.d_scratch);
     if not !any then begin
@@ -424,7 +413,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
               let fp = Shard_table.fingerprint tbl d.d_scratch in
               let o = Shard_table.owner tbl fp in
               insert_candidate o d ~fp ~parent:gid
-                ~via:(pack_via ~pid ~pc:from_pc ~alt ~flick) d.d_scratch);
+                ~via:(Via.pack ~pid ~pc:from_pc ~alt ~flick) d.d_scratch);
           if (not !any) && d.d_deadlock_gid < 0 then begin
             d.d_deadlock_gid <- gid;
             Atomic.set stop true

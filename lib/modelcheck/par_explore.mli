@@ -19,10 +19,10 @@
     reported with a shortest counterexample.  The fuzz seq-vs-par
     oracle pins this equivalence.
 
-    On a single-core machine the extra domains add coordination
-    overhead and no speedup (idle domains sleep rather than spin); the
-    sharded design exists so the checker scales on real multi-core
-    hosts. *)
+    On the 2-core host this repository is measured on, the sharded
+    engine is still slower than {!Explore.run}: its per-item
+    synchronisation costs more than the second core gives back (idle
+    domains sleep rather than spin). *)
 
 val run :
   ?invariants:Invariant.t list ->

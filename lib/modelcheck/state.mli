@@ -43,8 +43,7 @@ val hash : packed -> int
 (** FNV-1a over all words (the polymorphic hash only samples a prefix). *)
 
 val equal : packed -> packed -> bool
-(** Hashes are cached per stored state by {!Store}; dedup probes compare
-    cached codes first and arrays only on a code match. *)
+(** Word-by-word equality (same length, same words). *)
 
 val pp : layout -> Format.formatter -> packed -> unit
 (** Human-readable rendering: pcs by label name plus all shared cells. *)

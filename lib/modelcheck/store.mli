@@ -1,18 +1,28 @@
-(** The checker's state store: packed states in insertion order in one
-    flat int arena, plus an allocation-free open-addressing index from
+(** The checker's state store: bit-packed states in insertion order in
+    an arena the GC never scans, plus an open-addressing index from
     state contents to id.
 
-    Every stored state's hash is computed exactly once — a hash tag is
-    packed into the one-word index entry and the full hash kept in an
-    id-indexed side vector — so dedup lookups and table growth never
-    rehash a stored state.  Probing allocates nothing and touches one
-    word per step; storing a new state is an arena blit, not a boxed
-    allocation — at millions of states the GC otherwise spends more time
-    tracing state arrays than the search spends exploring.
+    Each stored state is packed into as few words as its values need:
+    zigzag-encoded cells at per-cell widths, no cell straddling a word.
+    The widths start at the first stored state's and widen (re-encoding
+    every stored state, in id order) when a later value does not fit, so
+    the packing is exact for any program.  Bakery++ at N=4/M=2 stores
+    one word per state.  Arena and index live in {!Chunked} chunks —
+    large [Bytes] blocks the GC neither moves nor scans; the index
+    stores no hashes (growth re-hashes the packed arena).  Resident
+    bytes per distinct state are the packed words plus the index share:
+    24 B on [bakery_pp] N=4/M=2.  [@bench-smoke] gates the explorer's
+    total (this plus its per-state parent/move word) on N=3/M=2.
+
+    {!probe}, {!add_probed} and {!read_into} allocate nothing, except
+    that {!add_probed} appends a chunk when the arena's last one is full
+    and rebuilds the layout or the index when the state needs wider
+    cells or the table a larger size.  The "Explore.run allocates < 1
+    word per state" test in [test/test_modelcheck.ml] pins this as part
+    of the explorer loop.
 
     All states in one store must have the same length (the packed layout
-    of one system).  Single-writer: only one thread may call
-    {!add_probed}/{!add}. *)
+    of one system).  Single-threaded: {!probe} writes internal buffers. *)
 
 type t
 
@@ -20,22 +30,24 @@ val create : unit -> t
 val length : t -> int
 
 val probe : t -> State.packed -> int
-(** Id of an equal stored state, or [-1].  Remembers the final probe
-    position; a following {!add_probed} reuses it (and the hash) instead
-    of probing again. *)
+(** Id of an equal stored state, or [-1].  A state of another length
+    than the stored ones is absent.  Remembers the packed state, its
+    hash and the final probe position; a following {!add_probed} reuses
+    them instead of probing again. *)
 
 val add_probed : t -> State.packed -> int
 (** Insert a state known absent — immediately after a missed {!probe}
-    for an equal state — by copying it into the arena.  The caller keeps
+    for an equal state — by packing it into the arena.  The caller keeps
     ownership of [s] (scratch buffers can be inserted directly).
-    Returns the new id. *)
+    Returns the new id.  Raises [Invalid_argument] if [s]'s length
+    differs from the stored states'. *)
 
 val get : t -> int -> State.packed
-(** Materialize a fresh boxed copy of a stored state. *)
+(** Unpack a fresh copy of a stored state. *)
 
 val read_into : t -> int -> State.packed -> unit
-(** Copy a stored state into a caller-owned buffer of the right length
-    (the allocation-free {!get}). *)
+(** Unpack a stored state into a caller-owned buffer of the states'
+    length (the allocation-free {!get}). *)
 
 val find_opt : t -> State.packed -> int option
 (** Allocating convenience wrapper around {!probe}. *)

@@ -122,7 +122,7 @@ let successors_into t (s : State.packed) out =
    effects), and [f] decides whether it is worth an allocation.  Over a
    big search most generated states are duplicates, so skipping the copy
    for them is the single largest allocation saving in the checker. *)
-let iter_successors_scratch ?(only = -1) t (s : State.packed) ~scratch f =
+let iter_successors_only ~only t (s : State.packed) ~scratch f =
   let lay = t.lay in
   let actions = t.comp.actions in
   (* [only >= 0] restricts expansion to that process — the ample-set
@@ -168,6 +168,9 @@ let iter_successors_scratch ?(only = -1) t (s : State.packed) ~scratch f =
               end)
         done
       done
+
+let iter_successors_scratch ?(only = -1) t s ~scratch f =
+  iter_successors_only ~only t s ~scratch f
 
 (* Re-execute one recorded move.  The sharded explorer's
    fingerprint-only mode stores no states, only (pid, pc, alt, flick)

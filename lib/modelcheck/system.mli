@@ -84,6 +84,17 @@ val iter_successors_scratch :
     [only] restricts expansion to that single process — the ample-set
     reduction; default [-1] expands all processes. *)
 
+val iter_successors_only :
+  only:int ->
+  t ->
+  State.packed ->
+  scratch:State.packed ->
+  (pid:int -> from_pc:int -> alt:int -> flick:int -> unit) ->
+  unit
+(** {!iter_successors_scratch} with [only] a plain int ([-1]: every
+    process), so a caller passing a computed value allocates no option
+    box per call. *)
+
 val successors_interpreted : t -> State.packed -> move list
 (** The same moves computed by the AST interpreter ({!Mxlang.Eval})
     instead of the compiled closures — the differential-testing baseline

@@ -97,6 +97,45 @@ let engines_agree () =
         (trace_of_outcome a.outcome = trace_of_outcome b.outcome))
     Harness.Registry.models
 
+(* The same agreement under a state constraint.  The compiled engine's
+   frontier is a cursor over store ids that skips, when it reaches
+   them, states the constraint rejects, and it raises the depth only
+   for a wave holding a state it expands; the interpreted engine
+   queues only expandable states.  Depth pins the first rule, traces
+   the packed parent/move metadata. *)
+let engines_agree_constrained () =
+  let constraint_ = Core.Verify.ticket_cap_constraint ~cap:4 in
+  let both ?invariants nprocs =
+    let sys =
+      MC.System.make (Algorithms.Bakery.program ()) ~nprocs ~bound:2
+    in
+    ( MC.Explore.run ?invariants ~constraint_ ~interpreted:true sys,
+      MC.Explore.run ?invariants ~constraint_ sys )
+  in
+  let agree name (a : MC.Explore.result) (b : MC.Explore.result) =
+    check Alcotest.string (name ^ ": outcome") (outcome_label a.outcome)
+      (outcome_label b.outcome);
+    check int_t (name ^ ": distinct") a.stats.distinct b.stats.distinct;
+    check int_t (name ^ ": generated") a.stats.generated b.stats.generated;
+    check int_t (name ^ ": depth") a.stats.depth b.stats.depth
+  in
+  List.iter
+    (fun nprocs ->
+      let name = Printf.sprintf "bakery N=%d mutex" nprocs in
+      let a, b = both ~invariants:[ MC.Invariant.mutex ] nprocs in
+      check Alcotest.string (name ^ ": passes") "pass"
+        (outcome_label a.outcome);
+      agree name a b)
+    [ 2; 3 ];
+  (* Unbounded Bakery overflows M=2 before its tickets reach the cap. *)
+  let a, b = both 2 in
+  agree "bakery N=2 overflow" a b;
+  check Alcotest.string "bakery N=2 overflows" "violation:no-overflow"
+    (outcome_label a.outcome);
+  check bool_t "identical counterexamples" true
+    (trace_of_outcome a.outcome = trace_of_outcome b.outcome
+    && trace_of_outcome a.outcome <> None)
+
 (* --------------------------------------------------- parallel explorer *)
 
 (* [Par_explore.run] at 1..4 domains vs the sequential explorer, on
@@ -187,6 +226,8 @@ let () =
             moves_bakery_pp;
           Alcotest.test_case "Explore.run engines agree on all models" `Quick
             engines_agree;
+          Alcotest.test_case "Explore.run engines agree under a constraint"
+            `Quick engines_agree_constrained;
         ] );
       ( "parallel",
         [

@@ -65,6 +65,94 @@ let state_hash_equal () =
   check bool_t "suffix change changes hash" true
     (MC.State.hash c <> MC.State.hash d)
 
+(* ---------------------------------------------------------------- store *)
+
+(* Feed [states] to a fresh store and to a [Hashtbl] reference, one
+   probe/add_probed at a time; then every stored state must read back
+   unchanged under its id.  Returns the store and the reference. *)
+let store_like_reference ?(st = MC.Store.create ()) ?(reference = Hashtbl.create 64)
+    states =
+  List.iter
+    (fun s ->
+      match (MC.Store.probe st s, Hashtbl.find_opt reference s) with
+      | -1, None ->
+          let id = MC.Store.add_probed st s in
+          check int_t "ids count up from 0" (Hashtbl.length reference) id;
+          Hashtbl.add reference (Array.copy s) id
+      | -1, Some _ -> Alcotest.fail "probe missed a stored state"
+      | id, Some id' -> check int_t "probe finds the stored id" id' id
+      | _, None -> Alcotest.fail "probe found a state never stored")
+    states;
+  check int_t "length" (Hashtbl.length reference) (MC.Store.length st);
+  Hashtbl.iter
+    (fun s id ->
+      check bool_t "get round-trips" true (MC.Store.get st id = s);
+      let buf = Array.make (Array.length s) 7 in
+      MC.Store.read_into st id buf;
+      check bool_t "read_into round-trips" true (buf = s);
+      check bool_t "find_opt finds it" true (MC.Store.find_opt st s = Some id))
+    reference;
+  (st, reference)
+
+let random_states ~seed ~n ~cells draw =
+  let rng = Random.State.make [| seed |] in
+  List.init n (fun _ -> Array.init cells (fun _ -> draw rng))
+
+let store_small_values () =
+  (* Values in -2..2 on 6 cells: 15625 possible states, so the 6000
+     draws repeat often and exercise probe hits. *)
+  ignore
+    (store_like_reference
+       (random_states ~seed:1 ~n:6000 ~cells:6 (fun rng ->
+            Random.State.int rng 5 - 2)))
+
+let store_extreme_values () =
+  let pick = [| min_int; max_int; 0; -1; 1; min_int + 1; max_int - 1 |] in
+  ignore
+    (store_like_reference
+       (random_states ~seed:2 ~n:3000 ~cells:4 (fun rng ->
+            if Random.State.bool rng then
+              pick.(Random.State.int rng (Array.length pick))
+            else Random.State.bits rng - (1 lsl 29))))
+
+let store_multi_word_states () =
+  (* 40 cells of up to 21 bits each: far more than one 63-bit word. *)
+  ignore
+    (store_like_reference
+       (random_states ~seed:3 ~n:2000 ~cells:40 (fun rng ->
+            Random.State.int rng 2_000_000 - 1_000_000)))
+
+let store_late_widening () =
+  (* 12000 states of 2-bit values take the index through three growths
+     (4096 -> 8192 -> 16384 -> 32768 slots); then states with much wider
+     values force every stored state to be re-encoded.  Ids and contents
+     must not move, and the old states must still be found. *)
+  let narrow =
+    random_states ~seed:4 ~n:12000 ~cells:10 (fun rng -> Random.State.int rng 4)
+  in
+  let st, reference = store_like_reference narrow in
+  check bool_t "three table growths happened" true
+    (float_of_int (MC.Store.length st) /. MC.Store.load_factor st >= 32768.0);
+  let wide =
+    [
+      Array.init 10 (fun i -> if i = 3 then 1 lsl 40 else 0);
+      Array.init 10 (fun i -> if i = 9 then min_int else 1);
+      Array.init 10 (fun i -> -i);
+    ]
+  in
+  ignore (store_like_reference ~st ~reference (wide @ narrow))
+
+let store_wrong_length () =
+  let st = MC.Store.create () in
+  ignore (MC.Store.add st [| 1; 2; 3 |]);
+  check bool_t "shorter state absent" true (MC.Store.find_opt st [| 1; 2 |] = None);
+  check bool_t "longer state absent" true
+    (MC.Store.find_opt st [| 1; 2; 3; 0 |] = None);
+  check int_t "probe misses" (-1) (MC.Store.probe st [| 1 |]);
+  match MC.Store.add_probed st [| 1 |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "add_probed of a wrong-length state must raise"
+
 (* ---------------------------------------------------------- exploration *)
 
 let explore_counts () =
@@ -124,6 +212,22 @@ let explore_capacity () =
   match r.outcome with
   | MC.Explore.Capacity -> ()
   | _ -> Alcotest.fail "expected capacity exhaustion"
+
+(* The compiled search loop allocates nothing per state: successors
+   are built in one scratch buffer, stored packed off-heap, and the
+   callback, invariants and frontier are set up once per run.  What
+   remains is per run, per wave and per store chunk. *)
+let explore_allocation_free () =
+  let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
+  ignore (MC.Explore.run sys);
+  let before = Gc.minor_words () in
+  let r = MC.Explore.run sys in
+  let words = Gc.minor_words () -. before in
+  check int_t "distinct" 47343 r.stats.distinct;
+  let per_state = words /. float_of_int r.stats.distinct in
+  if per_state >= 1.0 then
+    Alcotest.failf "Explore.run allocated %.2f minor words per distinct state"
+      per_state
 
 let trace_states_connected () =
   (* Every state in a counterexample trace must follow from its
@@ -783,6 +887,18 @@ let () =
           Alcotest.test_case "pack/unpack round trip" `Quick state_roundtrip;
           Alcotest.test_case "hash and equality" `Quick state_hash_equal;
         ] );
+      ( "store",
+        [
+          Alcotest.test_case "small values match a Hashtbl" `Quick
+            store_small_values;
+          Alcotest.test_case "min_int, max_int and negatives" `Quick
+            store_extreme_values;
+          Alcotest.test_case "states wider than one word" `Quick
+            store_multi_word_states;
+          Alcotest.test_case "widening after three table growths" `Quick
+            store_late_widening;
+          Alcotest.test_case "wrong-length states" `Quick store_wrong_length;
+        ] );
       ( "explore",
         [
           Alcotest.test_case "state counts on known graph" `Quick
@@ -793,6 +909,8 @@ let () =
           Alcotest.test_case "state constraint closes infinite space" `Quick
             explore_constraint_closes_space;
           Alcotest.test_case "max_states capacity" `Quick explore_capacity;
+          Alcotest.test_case "Explore.run allocates < 1 word per state" `Quick
+            explore_allocation_free;
           Alcotest.test_case "trace states are connected" `Quick
             trace_states_connected;
         ] );
