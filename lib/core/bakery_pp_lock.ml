@@ -52,13 +52,21 @@ let store_ticket t i v =
 
 let before a i b j = a < b || (a = b && i < j)
 
+(* The L1 test: is any register at capacity?  Reads number[0], number[1],
+   ... and stops at the first full one.  Here and in [acquire], loops
+   rather than local closures: an uncontended acquire/release pair
+   allocates nothing (pinned in test/test_core.ml). *)
 let gate_is_closed t =
-  let rec scan q = q < t.n && (A.get t.number q >= t.m || scan (q + 1)) in
-  scan 0
+  let q = ref 0 in
+  while !q < t.n && A.get t.number !q < t.m do
+    incr q
+  done;
+  !q < t.n
 
 let acquire t i =
   let slot = i * stride in
-  let rec attempt () =
+  let entered = ref false in
+  while not !entered do
     (* L1: wait while any register is at capacity. *)
     while gate_is_closed t do
       t.gate_spins.(slot) <- t.gate_spins.(slot) + 1;
@@ -72,8 +80,7 @@ let acquire t i =
       (* Algorithm 2's reset path: back off and retry from L1. *)
       store_ticket t i 0;
       A.set t.choosing i 0;
-      t.resets.(slot) <- t.resets.(slot) + 1;
-      attempt ()
+      t.resets.(slot) <- t.resets.(slot) + 1
     end
     else begin
       let ticket = mx + 1 in
@@ -84,19 +91,16 @@ let acquire t i =
         while A.get t.choosing j <> 0 do
           Registers.Spin.relax ()
         done;
-        let rec wait () =
-          let nj = A.get t.number j in
-          if nj <> 0 && before nj j ticket i then begin
-            Registers.Spin.relax ();
-            wait ()
-          end
-        in
-        wait ()
+        let nj = ref (A.get t.number j) in
+        while !nj <> 0 && before !nj j ticket i do
+          Registers.Spin.relax ();
+          nj := A.get t.number j
+        done
       done;
-      t.acquires.(slot) <- t.acquires.(slot) + 1
+      t.acquires.(slot) <- t.acquires.(slot) + 1;
+      entered := true
     end
-  in
-  attempt ()
+  done
 
 let release t i = store_ticket t i 0
 

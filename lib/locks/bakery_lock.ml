@@ -36,14 +36,12 @@ let acquire t i =
     while A.get t.choosing j <> 0 do
       Registers.Spin.relax ()
     done;
-    let rec wait () =
-      let nj = A.get t.number j in
-      if nj <> 0 && before nj j ticket i then begin
-        Registers.Spin.relax ();
-        wait ()
-      end
-    in
-    wait ()
+    (* A loop, not a local closure: the pair allocates nothing. *)
+    let nj = ref (A.get t.number j) in
+    while !nj <> 0 && before !nj j ticket i do
+      Registers.Spin.relax ();
+      nj := A.get t.number j
+    done
   done
 
 let release t i = A.set t.number i 0

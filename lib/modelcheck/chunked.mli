@@ -1,11 +1,11 @@
 (** Growable int vectors in fixed-size chunks the GC never scans.
 
-    The checker's bulk memory — the {!Store} arena and index and the
-    explorer's per-state metadata — lives in these.  Each chunk is one
-    large [Bytes] block: the major GC marks its header, never its
-    contents, and never moves it, so a store of millions of states
-    costs the collector a few hundred blocks instead of millions of
-    words to mark.  Growing appends a chunk; nothing is copied. *)
+    The checker's bulk memory — the {!Store} arena and index — lives in
+    these.  Each chunk is one large [Bytes] block: the major GC marks
+    its header, never its contents, and never moves it, so a store of
+    millions of states costs the collector a few hundred blocks instead
+    of millions of words to mark.  Growing appends a chunk; nothing is
+    copied. *)
 
 type t
 

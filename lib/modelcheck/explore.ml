@@ -6,13 +6,15 @@
      fused with dedup: each candidate successor is built in one reusable
      scratch buffer, probed against the bit-packed {!Store}, and packed
      into its arena only if genuinely new.  The frontier is a cursor
-     over store ids, and each state's parent and move share one word of
-     {!Chunked} metadata.  Per expanded state nothing is allocated on
-     the OCaml heap: the successor callback, the staged invariants and
-     the cursor are set up once per run, and the store and metadata grow
-     by whole chunks.  The test "Explore.run allocates < 1 word per
-     state" in test/test_modelcheck.ml pins this (about 0.06 minor
-     words per distinct state on bakery_pp N=3/M=2, all of it per-run
+     over store ids.  No parent or move is kept per state, only the
+     first id of each BFS wave: a counterexample is rebuilt by
+     re-expanding the wave above each of its states (see [trace]).  Per
+     expanded state nothing is allocated on the OCaml heap: the
+     successor callback, the staged invariants and the cursor are set up
+     once per run, and the store grows by whole chunks.  The test
+     "Explore.run allocates < 1 word per state" in
+     test/test_modelcheck.ml pins this (about 0.06 minor words per
+     distinct state on bakery_pp N=3/M=2, all of it per-run, per-wave
      and per-chunk set-up);
    - [interpreted = true] is the seed engine, kept verbatim as the
      measured baseline and differential reference: list-of-moves
@@ -157,35 +159,62 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
   let run_compiled () =
     let idx = Store.create () in
     let steps = (System.program sys).Mxlang.Ast.steps in
-    if not (Via.fits ~nprocs:(System.nprocs sys) ~nsteps:(Array.length steps))
-    then invalid_arg "Explore.run: too many processes or steps to record moves";
-    (* Per state, one unscanned word: the parent id above the move that
-       produced the state (pid and pc, {!Via.pack}).  The root, always
-       id 0, has none. *)
-    let meta = Chunked.create () in
-    let store_bytes () = Store.arena_bytes idx + Chunked.bytes meta in
     let finish outcome =
       (match metrics with
       | None -> ()
       | Some m ->
           Telemetry.Metrics.set
             (Telemetry.Metrics.gauge m "explore.store_bytes")
-            (float_of_int (store_bytes ())));
+            (float_of_int (Store.arena_bytes idx)));
       finish ~distinct:(Store.length idx) outcome
     in
-    let trace id =
-      let rec walk id acc =
-        let state = Store.get idx id in
-        if id = 0 then { Trace.pid = -1; step_name = "<init>"; state } :: acc
-        else
-          let m = Chunked.get meta id in
-          let pid = Via.pid m and pc = Via.pc m in
-          walk (m lsr Via.move_bits)
-            ({ Trace.pid; step_name = steps.(pc).step_name; state } :: acc)
-      in
-      Reduce.decanonicalize red (walk id [])
-    in
     let lay = System.layout sys in
+    (* Wave boundaries: the first id of every wave so far, then the end
+       of the wave being expanded, so wave [w] holds the ids from
+       [starts.(w)] up to [starts.(w+1)] (or the store's end).  One int
+       per wave is all the search keeps for counterexamples. *)
+    let starts = Vec.create () in
+    let wave_of id =
+      let w = ref 0 in
+      while !w + 1 < Vec.length starts && Vec.get starts (!w + 1) <= id do
+        incr w
+      done;
+      !w
+    in
+    (* No parent is stored per state.  The parent of a state in wave [w]
+       is the first state of wave [w-1], in id order, that the search
+       expanded and that yields it as a successor: that expansion is the
+       one that inserted it.  Re-expanding wave [w-1] under the same
+       constraint, ample filter and canonizer finds that state and the
+       move, in the search's own order, so the trace is the one a stored
+       parent pointer would give.  The cost is at most one pass over the
+       waves above the target, paid only when a trace is asked for. *)
+    let trace id =
+      let buf = Array.make lay.State.words 0 in
+      let succ = Array.make lay.State.words 0 in
+      let exception Parent of int * int * int in
+      let rec walk id w acc =
+        let state = Store.get idx id in
+        if w = 0 then { Trace.pid = -1; step_name = "<init>"; state } :: acc
+        else
+          match
+            for p = Vec.get starts (w - 1) to Vec.get starts w - 1 do
+              Store.read_into idx p buf;
+              if expand buf then
+                System.iter_successors_only ~only:(Reduce.ample red buf) sys
+                  buf ~scratch:succ (fun ~pid ~from_pc ~alt:_ ~flick:_ ->
+                    canon succ;
+                    if State.equal succ state then
+                      raise (Parent (p, pid, from_pc)))
+            done
+          with
+          | () -> failwith "Explore.run: counterexample state has no parent"
+          | exception Parent (p, pid, pc) ->
+              let step_name = steps.(pc).step_name in
+              walk p (w - 1) ({ Trace.pid; step_name; state } :: acc)
+      in
+      Reduce.decanonicalize red (walk id (wave_of id) [])
+    in
     let scratch = Array.make lay.State.words 0 in
     let current = Array.make lay.State.words 0 in
     (* The frontier is a cursor over store ids: ids are assigned in
@@ -255,7 +284,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
           Telemetry.Metrics.set g_frontier (float_of_int frontier);
           Telemetry.Metrics.set g_gen (float_of_int !generated);
           Telemetry.Metrics.set g_dist (float_of_int (Store.length idx));
-          Telemetry.Metrics.set g_bytes (float_of_int (store_bytes ()));
+          Telemetry.Metrics.set g_bytes
+            (float_of_int (Store.arena_bytes idx));
           let elapsed = now () -. t0 in
           Telemetry.Metrics.set g_rate
             (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
@@ -277,71 +307,70 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
       Array.of_list (List.map (fun inv -> Invariant.stage inv sys) invariants)
     in
     let nstaged = Array.length staged in
+    (* A violation or deadlock unwinds the search first ([Bad (id, k)]:
+       staged invariant [k], or [-1] for a deadlock), so the trace
+       rebuild below never runs inside a successor callback. *)
+    let exception Bad of int * int in
     let vet id' buf =
       if Store.length idx > max_states then raise (Stop (finish Capacity));
       let k = ref 0 in
       while !k < nstaged && (Array.unsafe_get staged !k) buf do
         incr k
       done;
-      if !k < nstaged then
-        raise
-          (Stop
-             (finish
-                (Violation { invariant = staged_names.(!k); trace = trace id' })))
+      if !k < nstaged then raise (Bad (id', !k))
     in
-    let init = System.initial sys in
-    canon init;
-    incr generated;
-    (match Store.add idx init with
-    | Some id ->
-        Chunked.push meta 0;
-        vet id init
-    | None -> assert false);
-    (* The successor callback is built once, not per expanded state: it
-       reads the state being expanded from [parent] and reports through
-       [any]. *)
-    let parent = ref 0 and any = ref false in
-    let on_successor ~pid ~from_pc ~alt:_ ~flick:_ =
+    let any = ref false in
+    let on_successor ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ =
       any := true;
       incr generated;
       canon scratch;
-      if Store.probe idx scratch = -1 then begin
-        let id' = Store.add_probed idx scratch in
-        Chunked.push meta
-          ((!parent lsl Via.move_bits)
-          lor Via.pack ~pid ~pc:from_pc ~alt:0 ~flick:0);
-        vet id' scratch
-      end
+      if Store.probe idx scratch = -1 then
+        vet (Store.add_probed idx scratch) scratch
     in
-    (* BFS depth by wave boundary, as in {!Wave.drive}: the depth rises
-       when the cursor reaches the first state of a new wave that it
-       expands.  A state the constraint rejects is stored and checked
-       but skipped here, and a wave holding only such states is not a
-       wave of the search. *)
-    let boundary = ref (Store.length idx) and wave = ref 0 in
-    while !cursor < Store.length idx do
-      if !cursor = !boundary then begin
-        incr wave;
-        boundary := Store.length idx
-      end;
-      let id = !cursor in
-      cursor := id + 1;
-      Store.read_into idx id current;
-      if expand current then begin
-        if !wave > !max_depth then
-          on_wave ~depth:!wave ~frontier:(!boundary - id);
-        tick ();
-        parent := id;
-        any := false;
-        System.iter_successors_only ~only:(Reduce.ample red current) sys
-          current ~scratch on_successor;
-        (* An ample process is enabled by construction, so [only >= 0]
-           never masks a deadlock. *)
-        if check_deadlock && not !any then
-          raise (Stop (finish (Deadlock { trace = trace id })))
-      end
-    done;
-    finish Pass
+    let search () =
+      let init = System.initial sys in
+      canon init;
+      incr generated;
+      (match Store.add idx init with
+      | Some id -> vet id init
+      | None -> assert false);
+      (* BFS depth by wave boundary, as in {!Wave.drive}: the depth rises
+         when the cursor reaches the first state of a new wave that it
+         expands.  A state the constraint rejects is stored and checked
+         but skipped here, and a wave holding only such states is not a
+         wave of the search. *)
+      let boundary = ref (Store.length idx) and wave = ref 0 in
+      ignore (Vec.push starts 0);
+      ignore (Vec.push starts !boundary);
+      while !cursor < Store.length idx do
+        if !cursor = !boundary then begin
+          incr wave;
+          boundary := Store.length idx;
+          ignore (Vec.push starts !boundary)
+        end;
+        let id = !cursor in
+        cursor := id + 1;
+        Store.read_into idx id current;
+        if expand current then begin
+          if !wave > !max_depth then
+            on_wave ~depth:!wave ~frontier:(!boundary - id);
+          tick ();
+          any := false;
+          System.iter_successors_only ~only:(Reduce.ample red current) sys
+            current ~scratch on_successor;
+          (* An ample process is enabled by construction, so [only >= 0]
+             never masks a deadlock. *)
+          if check_deadlock && not !any then raise (Bad (id, -1))
+        end
+      done
+    in
+    match search () with
+    | () -> finish Pass
+    | exception Bad (id, k) ->
+        let trace = trace id in
+        finish
+          (if k < 0 then Deadlock { trace }
+           else Violation { invariant = staged_names.(k); trace })
   in
   (* The seed engine, preserved as baseline: one hash to probe, a second
      to insert, a move list per state, a fresh array per candidate. *)

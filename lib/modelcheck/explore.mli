@@ -71,10 +71,15 @@ val run :
     ends; [metrics] accumulates the final stats and a wave-duration
     histogram into a registry ([explore.*]), plus live gauges refreshed
     once per wave — among them [explore.store_bytes], the bytes held by
-    the store's arena and index and the per-state parent/move words,
-    also set once at the end.  Both default to off, in which case the
-    hot loop runs exactly one static no-op closure call per expanded
-    state — the search itself is unchanged either way. *)
+    the store's arena and index, also set once at the end.  Both
+    default to off, in which case the hot loop runs exactly one static
+    no-op closure call per expanded state — the search itself is
+    unchanged either way.
+
+    The compiled search keeps no parent or move per state, only the
+    first id of each BFS wave.  A counterexample is rebuilt when one is
+    found, by re-expanding the wave above each of its states: at most
+    one more pass over the waves above the violating state. *)
 
 val run_graph :
   ?constraint_:(System.t -> State.packed -> bool) ->

@@ -11,8 +11,8 @@
     large [Bytes] blocks the GC neither moves nor scans; the index
     stores no hashes (growth re-hashes the packed arena).  Resident
     bytes per distinct state are the packed words plus the index share:
-    24 B on [bakery_pp] N=4/M=2.  [@bench-smoke] gates the explorer's
-    total (this plus its per-state parent/move word) on N=3/M=2.
+    24 B on [bakery_pp] N=4/M=2.  The sequential explorer keeps nothing
+    else per state, and [@bench-smoke] gates this figure on N=3/M=2.
 
     {!probe}, {!add_probed} and {!read_into} allocate nothing, except
     that {!add_probed} appends a chunk when the arena's last one is full

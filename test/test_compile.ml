@@ -102,7 +102,7 @@ let engines_agree () =
    them, states the constraint rejects, and it raises the depth only
    for a wave holding a state it expands; the interpreted engine
    queues only expandable states.  Depth pins the first rule, traces
-   the packed parent/move metadata. *)
+   the counterexample rebuild's skipping of rejected states. *)
 let engines_agree_constrained () =
   let constraint_ = Core.Verify.ticket_cap_constraint ~cap:4 in
   let both ?invariants nprocs =
@@ -135,6 +135,153 @@ let engines_agree_constrained () =
   check bool_t "identical counterexamples" true
     (trace_of_outcome a.outcome = trace_of_outcome b.outcome
     && trace_of_outcome a.outcome <> None)
+
+(* ------------------------------------------- rebuilt counterexamples *)
+
+(* The compiled engine keeps no parent per state: it rebuilds a
+   counterexample by re-expanding the BFS wave above each trace state
+   and taking the first (state, move) that yields it.  The interpreted
+   engine keeps a parent per state, so agreement pins the rebuild: each
+   case below must give the same outcome and an identical trace. *)
+let rebuilt_trace ?invariants ?constraint_ ?reduce name sys =
+  let run interpreted =
+    MC.Explore.run ?invariants ?constraint_ ?reduce ~max_states:cap
+      ~interpreted sys
+  in
+  let a = run true and b = run false in
+  check Alcotest.string (name ^ ": outcome") (outcome_label a.outcome)
+    (outcome_label b.outcome);
+  check int_t (name ^ ": distinct") a.stats.distinct b.stats.distinct;
+  match (trace_of_outcome a.outcome, trace_of_outcome b.outcome) with
+  | Some ta, Some tb ->
+      check bool_t (name ^ ": identical traces") true (ta = tb);
+      (a.outcome, ta)
+  | _ ->
+      Alcotest.failf "%s: expected a counterexample, got %s" name
+        (outcome_label a.outcome)
+
+(* A flag lock without a tie-break: raise your flag, then wait for every
+   other flag to drop.  All processes waiting with raised flags is a
+   deadlock. *)
+let flag_lock () =
+  let open Mxlang.Dsl in
+  let module B = Mxlang.Builder in
+  let b = B.create ~title:"flag_lock" in
+  let flag = B.shared_per_process b "flag" () in
+  let ncs = B.fresh_label b "ncs" in
+  let raise_ = B.fresh_label b "raise" in
+  let wait = B.fresh_label b "wait" in
+  let cs = B.fresh_label b "cs" in
+  let leave = B.fresh_label b "leave" in
+  B.define b ncs ~kind:Mxlang.Ast.Noncritical [ B.goto raise_ ];
+  B.define b raise_ ~kind:Mxlang.Ast.Doorway
+    [ B.action ~effects:[ set_own flag one ] wait ];
+  B.define b wait ~kind:Mxlang.Ast.Waiting
+    [ B.action ~guard:(qall Mxlang.Ast.Rothers (rd flag q =: zero)) cs ];
+  B.define b cs ~kind:Mxlang.Ast.Critical [ B.goto leave ];
+  B.define b leave ~kind:Mxlang.Ast.Exit
+    [ B.action ~effects:[ set_own flag zero ] ncs ];
+  B.build b
+
+let rebuilt_deadlock () =
+  List.iter
+    (fun nprocs ->
+      let sys = MC.System.make (flag_lock ()) ~nprocs ~bound:2 in
+      let name = Printf.sprintf "flag lock N=%d" nprocs in
+      match rebuilt_trace name sys with
+      | MC.Explore.Deadlock _, trace ->
+          (* Every process takes two steps to reach [wait]. *)
+          check int_t (name ^ ": shortest deadlock") ((2 * nprocs) + 1)
+            (MC.Trace.length trace)
+      | outcome, _ ->
+          Alcotest.failf "%s: expected a deadlock, got %s" name
+            (outcome_label outcome))
+    [ 2; 3 ]
+
+(* Under symmetry + POR the stored states are canonical and the acting
+   pids slot names; the rebuild must find the same canonical parents
+   and moves before {!Reduce.decanonicalize} maps them back. *)
+let rebuilt_sym_por () =
+  List.iter
+    (fun (name, prog, nprocs, bound) ->
+      let sys = MC.System.make prog ~nprocs ~bound in
+      check bool_t (name ^ ": symmetry certified") true
+        (MC.Reduce.symmetry_active (MC.Reduce.make MC.Reduce.Sym_por sys));
+      ignore (rebuilt_trace ~reduce:MC.Reduce.Sym_por name sys))
+    [
+      ("ticket N=3 M=3", Algorithms.Ticket_model.program (), 3, 3);
+      ("ticket_mod N=4 M=2", Algorithms.Ticket_model.program_mod (), 4, 2);
+      ("flag lock N=3", flag_lock (), 3, 2);
+    ]
+
+(* BFS depth of every state of the constrained graph, by parent chain
+   (a parent's id is below its child's). *)
+let depths (g : MC.Explore.graph) =
+  let n = MC.Vec.length g.states in
+  let d = Array.make n 0 in
+  for id = 1 to n - 1 do
+    d.(id) <- d.(MC.Vec.get g.parent id) + 1
+  done;
+  d
+
+(* Under [ticket_cap_constraint] the stored waves hold states the
+   constraint rejects: checked, never expanded.  The rebuild must skip
+   them as the search did, even where one yields the trace state too.
+   The invariant fails on a rejected state: a process takes a ticket
+   above the cap while another is critical. *)
+let rebuilt_constrained () =
+  List.iter
+    (fun (nprocs, tcap) ->
+      let name = Printf.sprintf "bakery N=%d cap %d" nprocs tcap in
+      let constraint_ = Core.Verify.ticket_cap_constraint ~cap:tcap in
+      let sys =
+        MC.System.make (Algorithms.Bakery.program ()) ~nprocs ~bound:8
+      in
+      let number = Mxlang.Ast.var_by_name (MC.System.program sys) "number" in
+      let lay = MC.System.layout sys in
+      let above_cap_while_critical =
+        MC.Invariant.custom "above-cap-while-critical" (fun sys s ->
+            let critical = ref false and above = ref false in
+            for i = 0 to nprocs - 1 do
+              if MC.System.in_critical sys s i then critical := true;
+              if MC.State.shared_cell lay s number i > tcap then above := true
+            done;
+            not (!critical && !above))
+      in
+      let _, trace =
+        rebuilt_trace ~invariants:[ above_cap_while_critical ] ~constraint_
+          name sys
+      in
+      (* Not vacuous: some wave the rebuild scans holds a rejected state. *)
+      let g, _ = MC.Explore.run_graph ~constraint_ ~max_states:cap sys in
+      let d = depths g and last = MC.Trace.length trace - 1 in
+      let rejected = ref 0 in
+      MC.Vec.iteri
+        (fun id s ->
+          if d.(id) < last && not (constraint_ sys s) then incr rejected)
+        g.states;
+      check bool_t (name ^ ": rejected states above the violation") true
+        (!rejected > 0))
+    [ (2, 2); (2, 3); (3, 2) ]
+
+(* The two shallowest cases: a violation at the root (no wave to
+   re-expand) and one in wave 1, where the move must be found among the
+   root's successors — here the first move of the last process. *)
+let rebuilt_root_and_level1 () =
+  let sys = MC.System.make (Algorithms.Bakery.program ()) ~nprocs:3 ~bound:3 in
+  let never = MC.Invariant.custom "never" (fun _ _ -> false) in
+  (match rebuilt_trace ~invariants:[ never ] "root" sys with
+  | _, [ e ] -> check int_t "root: no acting pid" (-1) e.MC.Trace.pid
+  | _, t -> Alcotest.failf "root: trace of length %d" (MC.Trace.length t));
+  let init = MC.System.initial sys in
+  let lay = MC.System.layout sys in
+  let last_still =
+    MC.Invariant.custom "last-process-still" (fun _ s ->
+        MC.State.pc lay s 2 = MC.State.pc lay init 2)
+  in
+  match rebuilt_trace ~invariants:[ last_still ] "wave 1" sys with
+  | _, [ _; e ] -> check int_t "wave 1: the last process moved" 2 e.MC.Trace.pid
+  | _, t -> Alcotest.failf "wave 1: trace of length %d" (MC.Trace.length t)
 
 (* --------------------------------------------------- parallel explorer *)
 
@@ -228,6 +375,13 @@ let () =
             engines_agree;
           Alcotest.test_case "Explore.run engines agree under a constraint"
             `Quick engines_agree_constrained;
+          Alcotest.test_case "rebuilt trace: deadlock" `Quick rebuilt_deadlock;
+          Alcotest.test_case "rebuilt trace: sym+por counterexamples" `Quick
+            rebuilt_sym_por;
+          Alcotest.test_case "rebuilt trace: constraint-rejected states"
+            `Quick rebuilt_constrained;
+          Alcotest.test_case "rebuilt trace: root and wave 1" `Quick
+            rebuilt_root_and_level1;
         ] );
       ( "parallel",
         [

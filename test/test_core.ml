@@ -238,6 +238,34 @@ let lock_stress_tiny_bound () =
   check int_t "all acquires counted" (nprocs * per) s.acquires;
   check bool_t "peak <= bound" true (s.peak_ticket <= 1)
 
+(* Uncontended acquire/release pairs allocate nothing: the locks' wait
+   loops are plain loops, not closures built per call.  Locks.Bakery_lock,
+   the baseline Bakery++ is timed against, is held to the same rule. *)
+let lock_allocation_free () =
+  let pairs = 10_000 in
+  let per_pair name acquire release =
+    for k = 0 to 99 do
+      acquire (k mod 8);
+      release (k mod 8)
+    done;
+    let before = Gc.minor_words () in
+    for k = 0 to pairs - 1 do
+      acquire (k mod 8);
+      release (k mod 8)
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int pairs in
+    if words >= 1.0 then
+      Alcotest.failf "%s: %.2f minor words per acquire/release pair" name words
+  in
+  let pp = Core.Bakery_pp_lock.create_lock ~nprocs:8 ~bound:255 in
+  per_pair "bakery_pp" (Core.Bakery_pp_lock.acquire pp)
+    (Core.Bakery_pp_lock.release pp);
+  let s = Core.Bakery_pp_lock.snapshot pp in
+  check int_t "every pair acquired" (pairs + 100) s.acquires;
+  check int_t "uncontended tickets stay at 1" 1 s.peak_ticket;
+  let b = Locks.Bakery_lock.create ~nprocs:8 ~bound:255 in
+  per_pair "bakery" (Locks.Bakery_lock.acquire b) (Locks.Bakery_lock.release b)
+
 let battery_passes () =
   let b = Core.Verify.verify_all ~nprocs:3 ~bound:2 () in
   check bool_t "invariants" true b.invariants_hold;
@@ -291,6 +319,8 @@ let () =
         [
           Alcotest.test_case "single participant" `Quick lock_basic;
           Alcotest.test_case "argument validation" `Quick lock_validation;
+          Alcotest.test_case "uncontended pairs allocate nothing" `Quick
+            lock_allocation_free;
           Alcotest.test_case "stress with M=1" `Slow lock_stress_tiny_bound;
           Alcotest.test_case "registry instance" `Quick lock_instance_registry;
         ] );
