@@ -11,13 +11,27 @@
 
 open Cmdliner
 
-let find_model name =
+(* Models written for exactly N = 2: a process names the other as
+   [1 - i], so at any other N it reads outside its registers. *)
+let two_process_models = [ "peterson2"; "dekker" ]
+
+(* Every subcommand that takes a model and -n resolves it here, so an
+   unknown name and an N a two-process model cannot run at are both
+   usage errors (exit 2) before any work starts. *)
+let find_model ?nprocs name =
   match Harness.Registry.find_model name with
-  | p -> p
   | exception Not_found ->
       Printf.eprintf "unknown model %S; try: %s\n" name
         (String.concat ", " Harness.Registry.model_names);
       exit 2
+  | p -> (
+      match nprocs with
+      | Some n when n <> 2 && List.mem name two_process_models ->
+          Printf.eprintf
+            "model %S is a 2-process algorithm: it runs only at -n 2, not -n %d\n"
+            name n;
+          exit 2
+      | _ -> p)
 
 (* ------------------------------------------------------- shared args *)
 
@@ -334,7 +348,7 @@ let check_cmd =
   let run model nprocs bound register_model reduce cap max_states with_overflow
       coverage parallel fp_only chrome_out dot_out progress metrics_out
       trace_out flight_out flight_interval =
-    let p = find_model model in
+    let p = find_model ~nprocs model in
     let sys = Modelcheck.System.make ~register_model p ~nprocs ~bound in
     let invariants =
       Modelcheck.Invariant.mutex
@@ -451,7 +465,7 @@ let sim_cmd =
   in
   let run model nprocs bound steps seed sched crash flicker flicker_model wrap
       chrome_out progress metrics_out trace_out =
-    let p = find_model model in
+    let p = find_model ~nprocs model in
     let tl = telemetry_setup ~name:"sim" progress metrics_out trace_out in
     let strategy =
       match sched with
@@ -629,7 +643,7 @@ let explain_cmd =
         prerr_endline "one of --model or --repro is required";
         exit 2
     | Some m, None ->
-        let p = find_model m in
+        let p = find_model ~nprocs m in
         explain_check p ~model:m ~nprocs ~bound ~max_states
     | None, Some file -> (
         match Fuzz.Repro.load file with
@@ -768,7 +782,7 @@ let graph_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write DOT to FILE.")
   in
   let run model nprocs bound max_states out =
-    let p = find_model model in
+    let p = find_model ~nprocs model in
     let sys = Modelcheck.System.make p ~nprocs ~bound in
     let dot = Modelcheck.Dot.of_system ~max_states sys in
     match out with
@@ -911,15 +925,11 @@ let fuzz_cmd =
         let models =
           match models with [] -> Fuzz.Driver_params.default.models | l -> l
         in
-        List.iter
-          (fun m ->
-            match Harness.Registry.find_model m with
-            | _ -> ()
-            | exception Not_found ->
-                Printf.eprintf "unknown model %S; try: %s\n" m
-                  (String.concat ", " Harness.Registry.model_names);
-                exit 2)
-          models;
+        (* Only the replay oracle runs the registry models. *)
+        let replay_n =
+          if List.mem Fuzz.Oracle.Replay oracles then Some nprocs else None
+        in
+        List.iter (fun m -> ignore (find_model ?nprocs:replay_n m)) models;
         let tl =
           telemetry_setup ~name:"fuzz" ?flight_out ~flight_interval progress
             metrics_out trace_out

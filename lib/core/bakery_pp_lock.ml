@@ -48,7 +48,7 @@ let create ~nprocs ~bound = create_lock ~nprocs ~bound
    theorem, checked rather than assumed. *)
 let store_ticket t i v =
   if v > t.m then raise (Overflow_bug { value = v; bound = t.m });
-  A.set t.number i v
+  Atomic.set t.number.A.regs.(i) v
 
 let before a i b j = a < b || (a = b && i < j)
 
@@ -57,14 +57,16 @@ let before a i b j = a < b || (a = b && i < j)
    rather than local closures: an uncontended acquire/release pair
    allocates nothing (pinned in test/test_core.ml). *)
 let gate_is_closed t =
+  let number = t.number.A.regs in
   let q = ref 0 in
-  while !q < t.n && A.get t.number !q < t.m do
+  while !q < t.n && Atomic.get number.(!q) < t.m do
     incr q
   done;
   !q < t.n
 
 let acquire t i =
   let slot = i * stride in
+  let choosing = t.choosing.A.regs and number = t.number.A.regs in
   let entered = ref false in
   while not !entered do
     (* L1: wait while any register is at capacity. *)
@@ -72,29 +74,29 @@ let acquire t i =
       t.gate_spins.(slot) <- t.gate_spins.(slot) + 1;
       Registers.Spin.relax ()
     done;
-    A.set t.choosing i 1;
+    Atomic.set choosing.(i) 1;
     (* number[i] := maximum(number); safe, every cell is <= M. *)
     let mx = A.max_of t.number in
     store_ticket t i mx;
     if mx >= t.m then begin
       (* Algorithm 2's reset path: back off and retry from L1. *)
       store_ticket t i 0;
-      A.set t.choosing i 0;
+      Atomic.set choosing.(i) 0;
       t.resets.(slot) <- t.resets.(slot) + 1
     end
     else begin
       let ticket = mx + 1 in
       store_ticket t i ticket;
-      A.set t.choosing i 0;
+      Atomic.set choosing.(i) 0;
       if ticket > t.peaks.(slot) then t.peaks.(slot) <- ticket;
       for j = 0 to t.n - 1 do
-        while A.get t.choosing j <> 0 do
+        while Atomic.get choosing.(j) <> 0 do
           Registers.Spin.relax ()
         done;
-        let nj = ref (A.get t.number j) in
+        let nj = ref (Atomic.get number.(j)) in
         while !nj <> 0 && before !nj j ticket i do
           Registers.Spin.relax ();
-          nj := A.get t.number j
+          nj := Atomic.get number.(j)
         done
       done;
       t.acquires.(slot) <- t.acquires.(slot) + 1;

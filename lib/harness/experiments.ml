@@ -320,8 +320,8 @@ let e5 ~quick =
   let real =
     Table.make
       ~title:
-        "E5b: the same comparison on real domains (wall clock; single-core \
-         machine, multi-domain rows are scheduler-bound and noisy)"
+        "E5b: the same comparison on real domains (wall clock; \
+         multi-domain rows are scheduler-bound and noisy)"
       ~notes:
         [
           "the 1-domain row is the reliable hardware signal: Bakery++'s \

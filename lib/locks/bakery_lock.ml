@@ -27,24 +27,25 @@ let rec bump_peak t v =
 let before a i b j = a < b || (a = b && i < j)
 
 let acquire t i =
-  A.set t.choosing i 1;
+  let choosing = t.choosing.A.regs and number = t.number.A.regs in
+  Atomic.set choosing.(i) 1;
   let ticket = 1 + A.max_of t.number in
-  A.set t.number i ticket;
-  A.set t.choosing i 0;
+  Atomic.set number.(i) ticket;
+  Atomic.set choosing.(i) 0;
   bump_peak t ticket;
   for j = 0 to t.nprocs - 1 do
-    while A.get t.choosing j <> 0 do
+    while Atomic.get choosing.(j) <> 0 do
       Registers.Spin.relax ()
     done;
     (* A loop, not a local closure: the pair allocates nothing. *)
-    let nj = ref (A.get t.number j) in
+    let nj = ref (Atomic.get number.(j)) in
     while !nj <> 0 && before !nj j ticket i do
       Registers.Spin.relax ();
-      nj := A.get t.number j
+      nj := Atomic.get number.(j)
     done
   done
 
-let release t i = A.set t.number i 0
+let release t i = Atomic.set t.number.A.regs.(i) 0
 
 let space_words t = A.words t.choosing + A.words t.number
 

@@ -30,49 +30,50 @@ let rec bump_peak t v =
 let before a i b j = a < b || (a = b && i < j)
 
 let acquire t i =
-  A.set t.choosing i 1;
+  let choosing = t.choosing.A.regs
+  and mycolor = t.mycolor.A.regs
+  and number = t.number.A.regs in
+  Atomic.set choosing.(i) 1;
   let mc = Atomic.get t.color in
-  A.set t.mycolor i mc;
+  Atomic.set mycolor.(i) mc;
   (* maximum over same-colored tickets only *)
   let mx = ref 0 in
   for j = 0 to t.nprocs - 1 do
-    if A.get t.mycolor j = mc then begin
-      let nj = A.get t.number j in
+    if Atomic.get mycolor.(j) = mc then begin
+      let nj = Atomic.get number.(j) in
       if nj > !mx then mx := nj
     end
   done;
   let ticket = !mx + 1 in
-  A.set t.number i ticket;
-  A.set t.choosing i 0;
+  Atomic.set number.(i) ticket;
+  Atomic.set choosing.(i) 0;
   bump_peak t ticket;
   for j = 0 to t.nprocs - 1 do
     if j <> i then begin
-      while A.get t.choosing j <> 0 do
+      while Atomic.get choosing.(j) <> 0 do
         Registers.Spin.relax ()
       done;
-      let rec wait () =
-        let nj = A.get t.number j in
-        if nj <> 0 then begin
-          let cj = A.get t.mycolor j in
+      (* Loops, not local closures: the pair allocates nothing. *)
+      let waiting = ref true in
+      while !waiting do
+        let nj = Atomic.get number.(j) in
+        if nj = 0 then waiting := false
+        else begin
           let pass =
-            if cj = mc then not (before nj j ticket i)
+            if Atomic.get mycolor.(j) = mc then not (before nj j ticket i)
             else Atomic.get t.color <> mc
           in
-          if not pass then begin
-            Registers.Spin.relax ();
-            wait ()
-          end
+          if pass then waiting := false else Registers.Spin.relax ()
         end
-      in
-      wait ()
+      done
     end
   done
 
 let release t i =
   (* Flip the shared color away from my color, then retire the ticket —
      Taubenfeld's exit order. *)
-  Atomic.set t.color (1 - A.get t.mycolor i);
-  A.set t.number i 0
+  Atomic.set t.color (1 - Atomic.get t.mycolor.A.regs.(i));
+  Atomic.set t.number.A.regs.(i) 0
 
 let space_words t =
   1 + A.words t.choosing + A.words t.mycolor + A.words t.number

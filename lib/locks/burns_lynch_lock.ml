@@ -9,25 +9,26 @@ let create ~nprocs ~bound:_ =
   { nprocs; flag = A.create nprocs 0 }
 
 let lower_raised t i =
-  let rec scan j = j < i && (A.get t.flag j = 1 || scan (j + 1)) in
+  let rec scan j = j < i && (Atomic.get t.flag.A.regs.(j) = 1 || scan (j + 1)) in
   scan 0
 
 let acquire t i =
+  let flag = t.flag.A.regs in
   let rec attempt () =
-    A.set t.flag i 0;
+    Atomic.set flag.(i) 0;
     if lower_raised t i then begin
       Registers.Spin.relax ();
       attempt ()
     end
     else begin
-      A.set t.flag i 1;
+      Atomic.set flag.(i) 1;
       if lower_raised t i then begin
         Registers.Spin.relax ();
         attempt ()
       end
       else
         for j = i + 1 to t.nprocs - 1 do
-          while A.get t.flag j = 1 do
+          while Atomic.get flag.(j) = 1 do
             Registers.Spin.relax ()
           done
         done
@@ -35,7 +36,7 @@ let acquire t i =
   in
   attempt ()
 
-let release t i = A.set t.flag i 0
+let release t i = Atomic.set t.flag.A.regs.(i) 0
 
 let space_words t = A.words t.flag
 

@@ -13,27 +13,27 @@ let create ~nprocs ~bound:_ =
   { nprocs; flag = A.create nprocs idle; turn = Atomic.make 0 }
 
 let acquire t i =
-  let n = t.nprocs in
+  let n = t.nprocs and flag = t.flag.A.regs in
   let rec attempt () =
-    A.set t.flag i waiting;
+    Atomic.set flag.(i) waiting;
     (* Walk from the turn to self, deferring to busy processes. *)
     let rec walk idx =
       if idx <> i then
-        if A.get t.flag idx <> idle then begin
+        if Atomic.get flag.(idx) <> idle then begin
           Registers.Spin.relax ();
           walk (Atomic.get t.turn)
         end
         else walk ((idx + 1) mod n)
     in
     walk (Atomic.get t.turn);
-    A.set t.flag i active;
+    Atomic.set flag.(i) active;
     (* Are we the only active process? *)
     let rec solo idx =
-      idx >= n || ((idx = i || A.get t.flag idx <> active) && solo (idx + 1))
+      idx >= n || ((idx = i || Atomic.get flag.(idx) <> active) && solo (idx + 1))
     in
     if
       solo 0
-      && (Atomic.get t.turn = i || A.get t.flag (Atomic.get t.turn) = idle)
+      && (Atomic.get t.turn = i || Atomic.get flag.(Atomic.get t.turn) = idle)
     then Atomic.set t.turn i
     else begin
       Registers.Spin.relax ();
@@ -43,11 +43,11 @@ let acquire t i =
   attempt ()
 
 let release t i =
-  let n = t.nprocs in
+  let n = t.nprocs and flag = t.flag.A.regs in
   (* Pass the turn to the next non-idle process (self if none). *)
-  let rec scan idx = if A.get t.flag idx = idle then scan ((idx + 1) mod n) else idx in
+  let rec scan j = if Atomic.get flag.(j) = idle then scan ((j + 1) mod n) else j in
   Atomic.set t.turn (scan ((Atomic.get t.turn + 1) mod n));
-  A.set t.flag i idle
+  Atomic.set flag.(i) idle
 
 let space_words t = A.words t.flag + 1
 

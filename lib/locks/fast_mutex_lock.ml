@@ -22,12 +22,12 @@ let create ~nprocs ~bound:_ =
   }
 
 let acquire t i =
-  let me = i + 1 in
+  let me = i + 1 and b = t.b.A.regs in
   let rec start () =
-    A.set t.b i 1;
+    Atomic.set b.(i) 1;
     Atomic.set t.x me;
     if Atomic.get t.y <> 0 then begin
-      A.set t.b i 0;
+      Atomic.set b.(i) 0;
       while Atomic.get t.y <> 0 do
         Registers.Spin.relax ()
       done;
@@ -38,9 +38,9 @@ let acquire t i =
       if Atomic.get t.x <> me then begin
         (* Contention: take the slow path. *)
         Atomic.incr t.slow;
-        A.set t.b i 0;
+        Atomic.set b.(i) 0;
         for j = 0 to t.nprocs - 1 do
-          while A.get t.b j <> 0 do
+          while Atomic.get b.(j) <> 0 do
             Registers.Spin.relax ()
           done
         done;
@@ -57,7 +57,7 @@ let acquire t i =
 
 let release t i =
   Atomic.set t.y 0;
-  A.set t.b i 0
+  Atomic.set t.b.A.regs.(i) 0
 
 let space_words t = A.words t.b + 2
 

@@ -9,14 +9,15 @@ let create ~nprocs ~bound:_ =
   { nprocs; level = A.create nprocs 0; victim = A.create nprocs 0 }
 
 let acquire t i =
+  let level = t.level.A.regs and victim = t.victim.A.regs in
   for l = 1 to t.nprocs - 1 do
-    A.set t.level i l;
-    A.set t.victim l i;
+    Atomic.set level.(i) l;
+    Atomic.set victim.(l) i;
     let rec wait () =
-      if A.get t.victim l = i then begin
+      if Atomic.get victim.(l) = i then begin
         let someone_above = ref false in
         for k = 0 to t.nprocs - 1 do
-          if k <> i && A.get t.level k >= l then someone_above := true
+          if k <> i && Atomic.get level.(k) >= l then someone_above := true
         done;
         if !someone_above then begin
           Registers.Spin.relax ();
@@ -27,7 +28,7 @@ let acquire t i =
     wait ()
   done
 
-let release t i = A.set t.level i 0
+let release t i = Atomic.set t.level.A.regs.(i) 0
 
 let space_words t = A.words t.level + A.words t.victim
 

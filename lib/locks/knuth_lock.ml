@@ -13,23 +13,24 @@ let create ~nprocs ~bound:_ =
   { nprocs; control = A.create nprocs idle; k = Atomic.make 0 }
 
 let acquire t i =
-  let n = t.nprocs in
+  let n = t.nprocs and control = t.control.A.regs in
   let rec attempt () =
-    A.set t.control i requesting;
+    Atomic.set control.(i) requesting;
     (* Walk from k downward (cyclically) to self, deferring to busy
        processes. *)
     let rec walk j =
       if j <> i then
-        if A.get t.control j <> idle then begin
+        if Atomic.get control.(j) <> idle then begin
           Registers.Spin.relax ();
           walk (Atomic.get t.k)
         end
         else walk ((j + n - 1) mod n)
     in
     walk (Atomic.get t.k);
-    A.set t.control i active;
+    Atomic.set control.(i) active;
     let rec someone_else_active j =
-      j < n && ((j <> i && A.get t.control j = active) || someone_else_active (j + 1))
+      j < n
+      && ((j <> i && Atomic.get control.(j) = active) || someone_else_active (j + 1))
     in
     if someone_else_active 0 then begin
       Registers.Spin.relax ();
@@ -41,7 +42,7 @@ let acquire t i =
 
 let release t i =
   Atomic.set t.k ((i + t.nprocs - 1) mod t.nprocs);
-  A.set t.control i idle
+  Atomic.set t.control.A.regs.(i) idle
 
 let space_words t = A.words t.control + 1
 

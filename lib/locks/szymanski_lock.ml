@@ -14,38 +14,40 @@ let spin_until cond =
   done
 
 let acquire t i =
-  A.set t.flag i 1;
+  let flag = t.flag.A.regs in
+  Atomic.set flag.(i) 1;
   spin_until (fun () ->
-      let rec ok j = j >= t.nprocs || (A.get t.flag j < 3 && ok (j + 1)) in
+      let rec ok j = j >= t.nprocs || (Atomic.get flag.(j) < 3 && ok (j + 1)) in
       ok 0);
-  A.set t.flag i 3;
+  Atomic.set flag.(i) 3;
   let intent_waiting =
     let rec scan j =
-      j < t.nprocs && ((j <> i && A.get t.flag j = 1) || scan (j + 1))
+      j < t.nprocs && ((j <> i && Atomic.get flag.(j) = 1) || scan (j + 1))
     in
     scan 0
   in
   if intent_waiting then begin
-    A.set t.flag i 2;
+    Atomic.set flag.(i) 2;
     spin_until (fun () ->
-        let rec scan j = j < t.nprocs && (A.get t.flag j = 4 || scan (j + 1)) in
+        let rec scan j = j < t.nprocs && (Atomic.get flag.(j) = 4 || scan (j + 1)) in
         scan 0)
   end;
-  A.set t.flag i 4;
+  Atomic.set flag.(i) 4;
   spin_until (fun () ->
-      let rec ok j = j >= i || (A.get t.flag j < 2 && ok (j + 1)) in
+      let rec ok j = j >= i || (Atomic.get flag.(j) < 2 && ok (j + 1)) in
       ok 0)
 
 let release t i =
+  let flag = t.flag.A.regs in
   spin_until (fun () ->
       let rec ok j =
         j >= t.nprocs
         ||
-        let f = A.get t.flag j in
+        let f = Atomic.get flag.(j) in
         (f < 2 || f > 3) && ok (j + 1)
       in
       ok (i + 1));
-  A.set t.flag i 0
+  Atomic.set flag.(i) 0
 
 let space_words t = A.words t.flag
 

@@ -1,28 +1,18 @@
-type t = { cells : int Atomic.t array; stride : int; n : int }
+let stride = 8
 
-let create ?(stride = 8) n v =
+type t = { regs : int Atomic.t array; boxes : int Atomic.t array }
+
+let create n v =
   if n < 0 then invalid_arg "Atomic_array.create: negative length";
-  if stride < 1 then invalid_arg "Atomic_array.create: stride must be >= 1";
-  { cells = Array.init (max 1 (n * stride)) (fun _ -> Atomic.make v); stride; n }
-
-let length t = t.n
-
-let slot t i =
-  if i < 0 || i >= t.n then invalid_arg "Atomic_array: index out of bounds";
-  t.cells.(i * t.stride)
-
-let get t i = Atomic.get (slot t i)
-let set t i v = Atomic.set (slot t i) v
-let fetch_and_add t i d = Atomic.fetch_and_add (slot t i) d
-let compare_and_set t i expected v = Atomic.compare_and_set (slot t i) expected v
-let exchange t i v = Atomic.exchange (slot t i) v
+  let boxes = Array.init (n * stride) (fun _ -> Atomic.make v) in
+  { regs = Array.init n (fun i -> boxes.(i * stride)); boxes }
 
 let max_of t =
   let best = ref 0 in
-  for i = 0 to t.n - 1 do
-    let v = get t i in
+  for i = 0 to Array.length t.regs - 1 do
+    let v = Atomic.get t.regs.(i) in
     if v > !best then best := v
   done;
   !best
 
-let words t = t.n
+let words t = Array.length t.regs

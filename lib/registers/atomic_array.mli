@@ -1,29 +1,28 @@
-(** Arrays of atomic integer registers with index striding to reduce
-    false sharing between logically adjacent cells.
+(** Arrays of atomic integer registers, padded against false sharing.
 
-    OCaml boxes each [Atomic.t]; striding the pointer array spreads the
-    pointers across cache lines, which in practice also spreads the boxes
-    allocated together.  This is a best-effort mitigation, sufficient for
-    the throughput-shape experiments (we compare algorithms under the same
-    memory layout, not absolute hardware numbers). *)
+    OCaml boxes each [Atomic.t].  [create] allocates 8 boxes per register
+    back to back and uses every 8th as the register, so consecutive
+    registers sit 8 boxes apart; the boxes in between stay reachable
+    through [boxes], so the collector never frees them and reuses the
+    gap.  This is a best-effort mitigation, sufficient for the
+    throughput-shape experiments (we compare algorithms under the same
+    memory layout, not absolute hardware numbers).
 
-type t
+    Locks index [regs] directly ([Atomic.get a.regs.(j)]), so a register
+    access in a lock's loop is a bounds-checked load and an atomic
+    primitive, not a call into this module. *)
 
-val create : ?stride:int -> int -> int -> t
-(** [create n v]: [n] cells initialized to [v].  [stride] defaults to 8
-    (64 bytes of pointers between consecutive cells). *)
+type t = private {
+  regs : int Atomic.t array;  (** the registers, in index order *)
+  boxes : int Atomic.t array;  (** every box, [regs.(i) == boxes.(8 * i)] *)
+}
 
-val length : t -> int
-val get : t -> int -> int
-val set : t -> int -> int -> unit
-val fetch_and_add : t -> int -> int -> int
-(** Atomic; returns the pre-value. *)
-
-val compare_and_set : t -> int -> int -> int -> bool
-val exchange : t -> int -> int -> int
+val create : int -> int -> t
+(** [create n v]: [n] registers initialized to [v]. *)
 
 val max_of : t -> int
-(** Maximum over a one-cell-at-a-time scan, 0 for an empty array. *)
+(** Maximum over a one-register-at-a-time scan in index order, 0 for an
+    empty array. *)
 
 val words : t -> int
-(** Shared memory footprint in words (cells only, not padding). *)
+(** Shared memory footprint in words (registers only, not padding). *)

@@ -247,6 +247,37 @@ let explain_usage_errors () =
   in
   check int_t "both inputs is a usage error" 2 code
 
+(* Peterson's and Dekker's models are written for two processes; any
+   other N is a usage error naming the limit, from every subcommand that
+   takes a model and -n, never an uncaught evaluator error. *)
+let two_process_models () =
+  List.iter
+    (fun args ->
+      let code, _, err = run_capture args in
+      let what = String.concat " " args in
+      check int_t (what ^ " is a usage error") 2 code;
+      check bool_t (what ^ " names the 2-process limit") true
+        (contains ~affix:"2-process" err);
+      check bool_t (what ^ " raises nothing") false
+        (contains ~affix:"exception" err))
+    [
+      [ "check"; "peterson2"; "-n"; "3" ];
+      [ "check"; "dekker"; "-n"; "3" ];
+      [ "check"; "dekker"; "-n"; "1" ];
+      [ "sim"; "peterson2"; "-n"; "3"; "--steps"; "10" ];
+      [ "graph"; "dekker"; "-n"; "3" ];
+      [ "explain"; "--model"; "peterson2"; "-n"; "4" ];
+      [ "fuzz"; "--model"; "dekker"; "-n"; "3"; "--count"; "1" ];
+    ];
+  let code, out, _ = run_capture [ "check"; "dekker"; "-n"; "2"; "-m"; "2" ] in
+  check int_t "dekker at N=2 checks" 0 code;
+  check bool_t "and passes" true (contains ~affix:"Invariants hold" out);
+  (* only the replay oracle runs the registry models *)
+  let code, _, _ =
+    run_capture [ "fuzz"; "--oracle"; "compile"; "-n"; "3"; "--count"; "1" ]
+  in
+  check int_t "fuzz without the replay oracle runs at N=3" 0 code
+
 (* ------------------------------------------------- weak register flag *)
 
 let register_model_flag () =
@@ -584,6 +615,8 @@ let () =
             explain_chrome_out;
           Alcotest.test_case "--model counterexample" `Quick explain_model;
           Alcotest.test_case "usage errors" `Quick explain_usage_errors;
+          Alcotest.test_case "two-process models need N=2" `Quick
+            two_process_models;
         ] );
       ( "regsem",
         [

@@ -240,7 +240,8 @@ let lock_stress_tiny_bound () =
 
 (* Uncontended acquire/release pairs allocate nothing: the locks' wait
    loops are plain loops, not closures built per call.  Locks.Bakery_lock,
-   the baseline Bakery++ is timed against, is held to the same rule. *)
+   the baseline Bakery++ is timed against, Black-White Bakery and
+   Anderson's array lock are held to the same rule. *)
 let lock_allocation_free () =
   let pairs = 10_000 in
   let per_pair name acquire release =
@@ -264,7 +265,13 @@ let lock_allocation_free () =
   check int_t "every pair acquired" (pairs + 100) s.acquires;
   check int_t "uncontended tickets stay at 1" 1 s.peak_ticket;
   let b = Locks.Bakery_lock.create ~nprocs:8 ~bound:255 in
-  per_pair "bakery" (Locks.Bakery_lock.acquire b) (Locks.Bakery_lock.release b)
+  per_pair "bakery" (Locks.Bakery_lock.acquire b) (Locks.Bakery_lock.release b);
+  let bw = Locks.Blackwhite_lock.create ~nprocs:8 ~bound:255 in
+  per_pair "black_white_bakery" (Locks.Blackwhite_lock.acquire bw)
+    (Locks.Blackwhite_lock.release bw);
+  let an = Locks.Anderson_lock.create ~nprocs:8 ~bound:255 in
+  per_pair "anderson" (Locks.Anderson_lock.acquire an)
+    (Locks.Anderson_lock.release an)
 
 let battery_passes () =
   let b = Core.Verify.verify_all ~nprocs:3 ~bound:2 () in

@@ -1,5 +1,5 @@
 (* Tests for the runtime register substrate: bounded registers with
-   overflow policies, strided atomic arrays, backoff, the deterministic
+   overflow policies, padded atomic arrays, backoff, the deterministic
    PRNG and the yielding spin primitive. *)
 
 let check = Alcotest.check
@@ -58,19 +58,22 @@ let bounded_array_and_max () =
 
 (* --------------------------------------------------------- atomic array *)
 
+(* Locks reach the registers through [regs] with stdlib [Atomic]
+   operations; these tests drive the same path. *)
 let atomic_array_ops () =
   let a = A.create 5 0 in
-  check int_t "length" 5 (A.length a);
-  A.set a 3 42;
-  check int_t "get/set" 42 (A.get a 3);
-  check int_t "fetch_and_add returns old" 42 (A.fetch_and_add a 3 8);
-  check int_t "fetch_and_add added" 50 (A.get a 3);
-  check bool_t "cas succeeds" true (A.compare_and_set a 3 50 60);
-  check bool_t "cas fails on stale" false (A.compare_and_set a 3 50 70);
-  check int_t "exchange returns old" 60 (A.exchange a 3 1);
+  let r = a.regs in
+  check int_t "length" 5 (Array.length r);
+  Atomic.set r.(3) 42;
+  check int_t "get/set" 42 (Atomic.get r.(3));
+  check int_t "fetch_and_add returns old" 42 (Atomic.fetch_and_add r.(3) 8);
+  check int_t "fetch_and_add added" 50 (Atomic.get r.(3));
+  check bool_t "cas succeeds" true (Atomic.compare_and_set r.(3) 50 60);
+  check bool_t "cas fails on stale" false (Atomic.compare_and_set r.(3) 50 70);
+  check int_t "exchange returns old" 60 (Atomic.exchange r.(3) 1);
   check int_t "max_of" 1 (A.max_of a);
   check int_t "words is logical size" 5 (A.words a);
-  match A.get a 5 with
+  match Atomic.get r.(5) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bounds check expected"
 
@@ -80,12 +83,32 @@ let atomic_array_domains () =
   let per = 20_000 in
   let worker () =
     for _ = 1 to per do
-      ignore (A.fetch_and_add a 0 1)
+      ignore (Atomic.fetch_and_add a.regs.(0) 1)
     done
   in
   let ds = List.init 3 (fun _ -> Domain.spawn worker) in
   List.iter Domain.join ds;
-  check int_t "exact parallel count" (3 * per) (A.get a 0)
+  check int_t "exact parallel count" (3 * per) (Atomic.get a.regs.(0))
+
+(* Each register is a box of its own, 8 boxes apart in the padded
+   allocation, and a store to one is seen through no other. *)
+let atomic_array_distinct_boxes () =
+  let n = 6 in
+  let a = A.create n 0 in
+  check int_t "8 boxes per register" (8 * n) (Array.length a.boxes);
+  for i = 0 to n - 1 do
+    check bool_t (Printf.sprintf "regs.(%d) is boxes.(%d)" i (8 * i)) true
+      (a.regs.(i) == a.boxes.(8 * i));
+    for j = i + 1 to n - 1 do
+      check bool_t (Printf.sprintf "regs.(%d) != regs.(%d)" i j) true
+        (a.regs.(i) != a.regs.(j))
+    done
+  done;
+  Array.iteri (fun i r -> Atomic.set r (i + 1)) a.regs;
+  Array.iteri
+    (fun i r -> check int_t (Printf.sprintf "register %d" i) (i + 1) (Atomic.get r))
+    a.regs;
+  check int_t "max_of sees every register" n (A.max_of a)
 
 (* -------------------------------------------------------------- backoff *)
 
@@ -268,6 +291,8 @@ let () =
         [
           Alcotest.test_case "operations" `Quick atomic_array_ops;
           Alcotest.test_case "parallel exactness" `Quick atomic_array_domains;
+          Alcotest.test_case "registers are distinct boxes" `Quick
+            atomic_array_distinct_boxes;
         ] );
       ("backoff", [ Alcotest.test_case "waves" `Quick backoff_grows_and_resets ]);
       ( "rng",
