@@ -2,7 +2,12 @@
     the core of the TLC-replacement checker.
 
     BFS guarantees that a reported invariant violation comes with a
-    shortest-possible counterexample trace, matching TLC's behaviour. *)
+    shortest-possible counterexample trace, matching TLC's behaviour.
+
+    {!run}, [run ~interpreted:true] and {!run_graph} share one search
+    loop over the packed {!Store}; they differ only in where successors
+    come from, how invariants are evaluated and whether a parent is
+    recorded per state. *)
 
 type stats = {
   generated : int;  (** successor states generated (with duplicates) *)
@@ -49,10 +54,14 @@ val run :
     still checked against the invariants but not expanded, closing
     otherwise-infinite state spaces (needed for the original, unbounded
     Bakery).  [max_states] (default 5_000_000) bounds memory.
-    [interpreted] (default [false]) generates successors with the AST
-    interpreter instead of the compiled closures — the reference engine
-    for differential tests and the throughput experiment's baseline;
-    outcome, traces, and state counts are identical either way.
+    [interpreted] (default [false]) makes the run a differential
+    reference on the same search loop: successors come from the AST
+    interpreter ({!System.successors_interpreted}) instead of the
+    compiled closures, invariants are evaluated through their plain
+    [holds] instead of their staged form, and a parent is recorded per
+    state, so a counterexample is read off the parent chain instead of
+    rebuilt.  Outcome, traces, and state counts are identical either
+    way.
 
     [reduce] (default [Off]) enables state-space reduction ({!Reduce}):
     [Sym] canonicalizes states under pid permutation when the program
@@ -76,7 +85,7 @@ val run :
     no-op closure call per expanded state — the search itself is
     unchanged either way.
 
-    The compiled search keeps no parent or move per state, only the
+    The default search keeps no parent or move per state, only the
     first id of each BFS wave.  A counterexample is rebuilt when one is
     found, by re-expanding the wave above each of its states: at most
     one more pass over the waves above the violating state. *)
@@ -86,8 +95,11 @@ val run_graph :
   ?max_states:int ->
   System.t ->
   graph * stats
-(** Exploration that keeps the whole reachable graph (no invariant
-    checking, no early exit); used by {!Lasso} and {!Refine}. *)
+(** Exploration that keeps the whole reachable graph: the same search
+    as {!run} with no invariants, no deadlock check and no reduction,
+    recording a parent per state, then boxing every stored state.  It
+    stops early only at [max_states].  Used by {!Lasso}, {!Coverage},
+    {!Dot} and the fuzz oracles. *)
 
 val trace_to : graph -> int -> Trace.t
 (** Reconstruct the BFS path from the root to a stored state id. *)
@@ -114,6 +126,6 @@ val trace_of :
   via_pc:int Vec.t ->
   int ->
   Trace.t
-(** {!trace_to} over any id-indexed representation of the search —
-    {!Par_explore} stores states in a {!Store} arena rather than a
-    boxed-state graph and materializes only the trace path. *)
+(** {!trace_to} over any id-indexed representation of the search: the
+    interpreted {!run} reads states from its {!Store}, and {!Refine}
+    from its own implementation-state table. *)

@@ -112,27 +112,10 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
         ignore (Vec.push via_pc pc);
         (id, true)
   in
-  let impl_trace id =
-    let p = System.program impl in
-    let rec walk id acc =
-      let pid = Vec.get via_pid id in
-      let entry =
-        {
-          Trace.pid;
-          step_name =
-            (if pid < 0 then "<init>" else p.steps.(Vec.get via_pc id).step_name);
-          state = Vec.get impl_states id;
-        }
-      in
-      let par = Vec.get parent id in
-      if par < 0 then entry :: acc else walk par (entry :: acc)
-    in
-    walk id []
-  in
   (* Pairs (impl id, spec set) already visited. *)
   let pair_seen = Hashtbl.create 4096 in
   let pairs = ref 0 in
-  let wave = Wave.create () in
+  let queue = Queue.create () in
   let exception Fail of failure in
   let exception Out_of_budget in
   let enqueue impl_id set o =
@@ -141,7 +124,7 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
       Hashtbl.add pair_seen key ();
       incr pairs;
       if !pairs > max_pairs then raise Out_of_budget;
-      Wave.push wave (impl_id, set, o)
+      Queue.push (impl_id, set, o) queue
     end
   in
   let result =
@@ -160,22 +143,31 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
       let set0 = closure spec_store ~obs_fn:obs_spec ~o:o0 [ intern spec_store s0 ] in
       let i0_id, _ = intern_impl ~p:(-1) ~pid:(-1) ~pc:(-1) i0 in
       enqueue i0_id set0 o0;
-      Wave.drive wave (fun (impl_id, set, o) ->
-          let s = Vec.get impl_states impl_id in
-          List.iter
-            (fun (m : System.move) ->
-              let o' = obs_impl impl m.dest in
-              let id', _ = intern_impl ~p:impl_id ~pid:m.pid ~pc:m.from_pc m.dest in
-              if obs_equal o' o then enqueue id' set o
-              else begin
-                let set' =
-                  visible_step spec_store ~obs_fn:obs_spec ~next_o:o' set
-                in
-                if set' = [] then
-                  raise (Fail { impl_trace = impl_trace id'; bad_obs = o' });
-                enqueue id' set' o'
-              end)
-            (System.successors impl s));
+      while not (Queue.is_empty queue) do
+        let impl_id, set, o = Queue.pop queue in
+        let s = Vec.get impl_states impl_id in
+        List.iter
+          (fun (m : System.move) ->
+            let o' = obs_impl impl m.dest in
+            let id', _ = intern_impl ~p:impl_id ~pid:m.pid ~pc:m.from_pc m.dest in
+            if obs_equal o' o then enqueue id' set o
+            else begin
+              let set' =
+                visible_step spec_store ~obs_fn:obs_spec ~next_o:o' set
+              in
+              if set' = [] then
+                raise
+                  (Fail
+                     {
+                       impl_trace =
+                         Explore.trace_of impl ~state_of:(Vec.get impl_states)
+                           ~parent ~via_pid ~via_pc id';
+                       bad_obs = o';
+                     });
+              enqueue id' set' o'
+            end)
+          (System.successors impl s)
+      done;
       {
         included = true;
         failure = None;

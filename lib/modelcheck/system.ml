@@ -77,51 +77,12 @@ let initial t = State.initial t.lay
 let register_model t =
   match t.weak with None -> Regsem.Model.Atomic | Some wk -> wk.wk_model
 
-(* The hot path: compiled guards run directly against the packed state
-   (no [Array.sub] copies); the destination array is allocated only for
-   an enabled action, and the compiled effects mutate it in place. *)
-let successors_into t (s : State.packed) out =
-  let lay = t.lay in
-  let actions = t.comp.actions in
-  match t.weak with
-  | None ->
-      for pid = 0 to t.env.nprocs - 1 do
-        let pc = s.(lay.pcs_off + pid) in
-        let alts = actions.(pc).(pid) in
-        for alt = 0 to Array.length alts - 1 do
-          let (a : Mxlang.Compile.caction) = alts.(alt) in
-          if a.enabled s then begin
-            let dest = Array.copy s in
-            a.perform dest;
-            dest.(lay.pcs_off + pid) <- a.target;
-            ignore (Vec.push out { pid; from_pc = pc; alt; flick = 0; dest })
-          end
-        done
-      done
-  | Some wk ->
-      let view = Array.copy s in
-      for pid = 0 to t.env.nprocs - 1 do
-        let pc = s.(lay.pcs_off + pid) in
-        let alts = actions.(pc).(pid) in
-        for alt = 0 to Array.length alts - 1 do
-          let (a : Mxlang.Compile.caction) = alts.(alt) in
-          let cells = wk.wk_reads.(pc).(pid).(alt) in
-          Regsem.Flicker.iter_views wk.wk_flick ~s ~view ~pid ~cells
-            (fun ~flick ->
-              if a.enabled view then begin
-                let dest = Array.copy s in
-                a.perform_rw ~read:view ~write:dest;
-                dest.(lay.pcs_off + pid) <- a.target;
-                ignore (Vec.push out { pid; from_pc = pc; alt; flick; dest })
-              end)
-        done
-      done
-
-(* Fused variant for the sequential explorer: each enabled action's
+(* The one compiled successor enumerator: each enabled action's
    destination is built in the caller's [scratch] buffer (blit + compiled
    effects), and [f] decides whether it is worth an allocation.  Over a
    big search most generated states are duplicates, so skipping the copy
-   for them is the single largest allocation saving in the checker. *)
+   for them is the single largest allocation saving in the checker.  The
+   move lists below are built on it. *)
 let iter_successors_only ~only t (s : State.packed) ~scratch f =
   let lay = t.lay in
   let actions = t.comp.actions in
@@ -217,49 +178,23 @@ let var_of_cell t cell =
   done;
   (!v, cell - offsets.(!v))
 
-let successors_of_pid t (s : State.packed) pid =
-  let lay = t.lay in
-  let pc = s.(lay.pcs_off + pid) in
-  let alts = t.comp.actions.(pc).(pid) in
-  match t.weak with
-  | None ->
-      let moves = ref [] in
-      for alt = Array.length alts - 1 downto 0 do
-        let (a : Mxlang.Compile.caction) = alts.(alt) in
-        if a.enabled s then begin
-          let dest = Array.copy s in
-          a.perform dest;
-          dest.(lay.pcs_off + pid) <- a.target;
-          moves := { pid; from_pc = pc; alt; flick = 0; dest } :: !moves
-        end
-      done;
-      !moves
-  | Some wk ->
-      let view = Array.copy s in
-      let moves = ref [] in
-      for alt = 0 to Array.length alts - 1 do
-        let (a : Mxlang.Compile.caction) = alts.(alt) in
-        let cells = wk.wk_reads.(pc).(pid).(alt) in
-        Regsem.Flicker.iter_views wk.wk_flick ~s ~view ~pid ~cells
-          (fun ~flick ->
-            if a.enabled view then begin
-              let dest = Array.copy s in
-              a.perform_rw ~read:view ~write:dest;
-              dest.(lay.pcs_off + pid) <- a.target;
-              moves := { pid; from_pc = pc; alt; flick; dest } :: !moves
-            end)
-      done;
-      List.rev !moves
+(* The boxed move lists, for callers that want them: each move copies
+   its destination out of the scratch buffer of the one compiled
+   enumerator above, in its order. *)
+let collect_moves t s ~only =
+  let scratch = Array.make t.lay.words 0 in
+  let moves = ref [] in
+  iter_successors_only ~only t s ~scratch (fun ~pid ~from_pc ~alt ~flick ->
+      moves := { pid; from_pc; alt; flick; dest = Array.copy scratch } :: !moves);
+  List.rev !moves
 
-let successors t s =
-  let rec all pid acc =
-    if pid < 0 then acc else all (pid - 1) (successors_of_pid t s pid @ acc)
-  in
-  all (t.env.nprocs - 1) []
+let successors_of_pid t s pid = collect_moves t s ~only:pid
+let successors t s = collect_moves t s ~only:(-1)
 
-(* Reference implementation on the interpreter, kept as the differential
-   baseline for the compiled path (and as the "before" engine in the
-   throughput experiment).  Single linear pass; no quadratic append. *)
+(* Reference implementation on the interpreter: the differential
+   baseline for the compiled path, and the successor source of
+   [Explore.run ~interpreted:true].  Single linear pass; no quadratic
+   append. *)
 let successors_interpreted t s =
   let lay = t.lay in
   let moves = ref [] in

@@ -7,7 +7,13 @@
     over the flicker views of its reads that overlap another process's
     in-flight write ({!Regsem.Flicker}).  Each such branch is one move,
     identified by its [flick] rank.  Under [Atomic] (the default) the
-    engine is bit-identical to the system without this parameter. *)
+    engine is bit-identical to the system without this parameter.
+
+    Successors are enumerated by one compiled loop,
+    {!iter_successors_only}; {!successors} and {!successors_of_pid}
+    copy its moves into lists.  {!successors_interpreted} computes the
+    same moves on the AST interpreter, as the differential
+    reference. *)
 
 type t
 
@@ -61,12 +67,9 @@ val initial : t -> State.packed
 
 val successors : t -> State.packed -> move list
 (** Every move of every process enabled in the given state, in
-    deterministic (pid, alternative, flicker rank) order. *)
-
-val successors_into : t -> State.packed -> move Vec.t -> unit
-(** Append the same moves, in the same order, to a caller-owned buffer.
-    The explorers clear and reuse one buffer per search, so the hot path
-    allocates only the destination states themselves. *)
+    deterministic (pid, alternative, flicker rank) order: the moves of
+    {!iter_successors_only}, each destination copied out of its
+    scratch buffer. *)
 
 val iter_successors_scratch :
   ?only:int ->
@@ -98,8 +101,9 @@ val iter_successors_only :
 val successors_interpreted : t -> State.packed -> move list
 (** The same moves computed by the AST interpreter ({!Mxlang.Eval})
     instead of the compiled closures — the differential-testing baseline
-    and the "before" engine of the throughput experiment.  Honors the
-    register model with the same move order as the compiled engine. *)
+    and the successor source of [Explore.run ~interpreted:true].  Honors
+    the register model with the same move order as the compiled
+    engine. *)
 
 val apply_move :
   t -> State.packed -> pid:int -> pc:int -> alt:int -> flick:int -> State.packed
@@ -120,8 +124,9 @@ val var_of_cell : t -> int -> int * int
     the variable). *)
 
 val successors_of_pid : t -> State.packed -> int -> move list
-(** Moves of one process only (used by the starvation search, which
-    freezes one process and lets the others run). *)
+(** Moves of one process only, in {!successors}' order (used by the
+    starvation search, which freezes one process and lets the others
+    run). *)
 
 val enabled : t -> State.packed -> int -> bool
 (** Does process [pid] have at least one enabled action?  Under a weak

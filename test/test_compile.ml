@@ -78,37 +78,64 @@ let nprocs_for name = if name = "peterson2" || name = "dekker" then 2 else 3
 
 (* Compiled vs interpreted [Explore.run]: same outcome, same distinct /
    generated / depth counts, and byte-identical counterexample traces,
-   on every registry model. *)
+   on every registry model, unreduced and under symmetry + POR, plus
+   two models under regular registers.  The interpreted run reads its
+   traces off stored parents, the compiled one rebuilds them, so trace
+   identity pins the rebuild under reduction too. *)
 let engines_agree () =
+  let agree name ?reduce sys =
+    let a = MC.Explore.run ?reduce ~max_states:cap ~interpreted:true sys in
+    let b = MC.Explore.run ?reduce ~max_states:cap sys in
+    check Alcotest.string
+      (name ^ ": outcome")
+      (outcome_label a.outcome) (outcome_label b.outcome);
+    check int_t (name ^ ": distinct") a.stats.distinct b.stats.distinct;
+    check int_t (name ^ ": generated") a.stats.generated b.stats.generated;
+    check int_t (name ^ ": depth") a.stats.depth b.stats.depth;
+    check bool_t
+      (name ^ ": identical traces")
+      true
+      (trace_of_outcome a.outcome = trace_of_outcome b.outcome)
+  in
+  let both name sys =
+    agree name sys;
+    agree (name ^ " sym+por") ~reduce:MC.Reduce.Sym_por sys
+  in
   List.iter
     (fun (name, prog) ->
-      let sys = MC.System.make prog ~nprocs:(nprocs_for name) ~bound:3 in
-      let a = MC.Explore.run ~max_states:cap ~interpreted:true sys in
-      let b = MC.Explore.run ~max_states:cap sys in
-      check Alcotest.string
-        (name ^ ": outcome")
-        (outcome_label a.outcome) (outcome_label b.outcome);
-      check int_t (name ^ ": distinct") a.stats.distinct b.stats.distinct;
-      check int_t (name ^ ": generated") a.stats.generated b.stats.generated;
-      check int_t (name ^ ": depth") a.stats.depth b.stats.depth;
-      check bool_t
-        (name ^ ": identical traces")
-        true
-        (trace_of_outcome a.outcome = trace_of_outcome b.outcome))
-    Harness.Registry.models
+      both name (MC.System.make prog ~nprocs:(nprocs_for name) ~bound:3))
+    Harness.Registry.models;
+  List.iter
+    (fun name ->
+      both (name ^ " regular")
+        (MC.System.make ~register_model:Regsem.Model.Regular
+           (Harness.Registry.find_model name) ~nprocs:3 ~bound:3))
+    [ "tas"; "black_white_bakery" ]
 
-(* The same agreement under a state constraint.  The compiled engine's
-   frontier is a cursor over store ids that skips, when it reaches
-   them, states the constraint rejects, and it raises the depth only
-   for a wave holding a state it expands; the interpreted engine
-   queues only expandable states.  Depth pins the first rule, traces
-   the counterexample rebuild's skipping of rejected states. *)
+(* BFS depth of every state of the constrained graph, by parent chain
+   (a parent's id is below its child's). *)
+let depths (g : MC.Explore.graph) =
+  let n = MC.Vec.length g.states in
+  let d = Array.make n 0 in
+  for id = 1 to n - 1 do
+    d.(id) <- d.(MC.Vec.get g.parent id) + 1
+  done;
+  d
+
+(* The same agreement under a state constraint.  The frontier is a
+   cursor over store ids that skips, when it reaches them, states the
+   constraint rejects, and the depth rises only for a wave holding a
+   state it expands.  Both engines share that cursor, so the depth is
+   also checked against the parent chains of [run_graph]: on a pass it
+   is the deepest state the constraint accepts.  Traces pin the
+   counterexample rebuild's skipping of rejected states. *)
 let engines_agree_constrained () =
   let constraint_ = Core.Verify.ticket_cap_constraint ~cap:4 in
+  let system nprocs =
+    MC.System.make (Algorithms.Bakery.program ()) ~nprocs ~bound:2
+  in
   let both ?invariants nprocs =
-    let sys =
-      MC.System.make (Algorithms.Bakery.program ()) ~nprocs ~bound:2
-    in
+    let sys = system nprocs in
     ( MC.Explore.run ?invariants ~constraint_ ~interpreted:true sys,
       MC.Explore.run ?invariants ~constraint_ sys )
   in
@@ -125,7 +152,16 @@ let engines_agree_constrained () =
       let a, b = both ~invariants:[ MC.Invariant.mutex ] nprocs in
       check Alcotest.string (name ^ ": passes") "pass"
         (outcome_label a.outcome);
-      agree name a b)
+      agree name a b;
+      let sys = system nprocs in
+      let g, _ = MC.Explore.run_graph ~constraint_ sys in
+      let d = depths g in
+      let deepest = ref 0 in
+      MC.Vec.iteri
+        (fun id s -> if constraint_ sys s then deepest := max !deepest d.(id))
+        g.states;
+      check int_t (name ^ ": depth = deepest accepted state") !deepest
+        b.stats.depth)
     [ 2; 3 ];
   (* Unbounded Bakery overflows M=2 before its tickets reach the cap. *)
   let a, b = both 2 in
@@ -213,16 +249,6 @@ let rebuilt_sym_por () =
       ("ticket_mod N=4 M=2", Algorithms.Ticket_model.program_mod (), 4, 2);
       ("flag lock N=3", flag_lock (), 3, 2);
     ]
-
-(* BFS depth of every state of the constrained graph, by parent chain
-   (a parent's id is below its child's). *)
-let depths (g : MC.Explore.graph) =
-  let n = MC.Vec.length g.states in
-  let d = Array.make n 0 in
-  for id = 1 to n - 1 do
-    d.(id) <- d.(MC.Vec.get g.parent id) + 1
-  done;
-  d
 
 (* Under [ticket_cap_constraint] the stored waves hold states the
    constraint rejects: checked, never expanded.  The rebuild must skip
